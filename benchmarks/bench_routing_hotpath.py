@@ -6,21 +6,19 @@ Standalone script (argparse, no pytest) so CI can run it as a smoke job::
 
 It measures four things and writes ``BENCH_routing.json``:
 
-* **Single-pair warm queries, per kernel** — the seed configuration
-  (per-query ``G_{s,t}`` rebuild over an addressable binary heap)
-  against the overlay hot path under each raw-speed kernel: ``flat``
-  (heapq + scratch reuse), ``bucket`` (Dial bucket queue on the
-  lattice-cost overlay), and the forest-batched mode (one exhausted
-  run per source through :class:`BatchRouter`, lazily decoded).  Every
-  kernel's answers are checked hop-for-hop against the seed path.
+* **Single-pair warm queries** — the seed configuration (per-query
+  ``G_{s,t}`` rebuild over an addressable binary heap) against the
+  overlay hot path on the ``flat`` kernel (heapq + scratch reuse) and
+  the forest-batched mode (one exhausted run per source through
+  :class:`BatchRouter`, lazily decoded).  Every answer is checked
+  hop-for-hop against the seed path.
 * **Restricted crossover** — the Theorem 4 regime: at fixed ``n`` and a
   large wavelength universe ``k``, sweep the per-link bound ``k₀`` and
-  compare terminal-free trees on the fused restricted ``G'`` against
-  ``G_all`` trees, locating the crossover behind
-  ``RESTRICTED_K0_CROSSOVER``.
+  compare :func:`~repro.shortestpath.restricted.restricted_tree` on the
+  fused ``G'`` against ``G_all`` trees.
 * **All-pairs fan-out** — serial ``route_all_pairs`` against the
   process-parallel path, with the measured worker count recorded next
-  to the machine's CPU count (a 1-CPU container cannot show a parallel
+  to the machine's CPU count (a 1-CPU machine cannot show a parallel
   win; the numbers say so honestly).
 * **Fault churn** — an alternating degrade/recover + query stream served
   by two epoch caches: full invalidation (every fault rebuilds
@@ -59,11 +57,19 @@ from repro.core.batch import BatchRouter  # noqa: E402
 from repro.core.parallel import route_all_pairs_parallel  # noqa: E402
 from repro.core.routing import LiangShenRouter  # noqa: E402
 from repro.exceptions import NoPathError  # noqa: E402
-from repro.shortestpath.restricted import RESTRICTED_K0_CROSSOVER  # noqa: E402
+from repro.shortestpath.restricted import (  # noqa: E402
+    RESTRICTED_K0_CROSSOVER,
+    build_restricted_graph,
+    restricted_tree,
+)
 from repro.faults.injector import FaultInjector  # noqa: E402
 from repro.faults.plan import FaultEvent  # noqa: E402
 from repro.service.cache import EpochRouterCache  # noqa: E402
+from repro.shortestpath.flat import ScratchBuffers  # noqa: E402
 from repro.verify.certificate import check_certificate  # noqa: E402
+
+#: Interleaved timing passes per restricted-crossover point (best kept).
+CROSSOVER_REPEATS = 5
 
 
 def _try(router, s, t):
@@ -99,19 +105,17 @@ def _view(result):
 
 
 def bench_single_pair(net, name: str) -> tuple[dict, list[str]]:
-    """Time the full query stream per kernel against the seed path.
+    """Time the full query stream per serving mode against the seed path.
 
-    All overlay kernels must agree hop-for-hop with ``flat`` (and flat
-    with the seed); any divergence makes the script exit nonzero.
+    ``flat`` must agree hop-for-hop with the seed and the batched mode
+    with ``flat``; any divergence makes the script exit nonzero.
     """
     nodes = net.nodes()
     pairs = [(s, t) for s in nodes for t in nodes if s != t]
 
     seed_router = LiangShenRouter(net, heap="binary", overlay=False)
     flat_router = LiangShenRouter(net)  # overlay + flat
-    bucket_router = LiangShenRouter(net, heap="bucket")
     flat_router.layered_graph()  # warm the shared G' before timing
-    bucket_router.layered_graph()
     batch_router = BatchRouter(net)  # G_all built here, outside the timing
 
     start = time.perf_counter()
@@ -122,10 +126,6 @@ def bench_single_pair(net, name: str) -> tuple[dict, list[str]]:
     flat_results = [_view(_try(flat_router, s, t)) for s, t in pairs]
     t_flat = time.perf_counter() - start
 
-    start = time.perf_counter()
-    bucket_results = [_view(_try(bucket_router, s, t)) for s, t in pairs]
-    t_bucket = time.perf_counter() - start
-
     # The batched mode serves the same stream source-major: one exhausted
     # kernel run per source, every answer a lazy decode off its forest.
     start = time.perf_counter()
@@ -134,10 +134,8 @@ def bench_single_pair(net, name: str) -> tuple[dict, list[str]]:
 
     errors: list[str] = []
     _check_identity(name, "overlay_flat", pairs, seed_results, flat_results, errors)
-    _check_identity(name, "overlay_bucket", pairs, flat_results, bucket_results, errors)
     _check_identity(name, "forest_batched", pairs, flat_results, batched_results, errors)
 
-    bucket_scale = bucket_router.layered_graph().graph.lattice_scale()
     us = 1e6 / len(pairs)
     return {
         "topology": name,
@@ -149,17 +147,11 @@ def bench_single_pair(net, name: str) -> tuple[dict, list[str]]:
         "speedup": t_seed / t_flat if t_flat > 0 else float("inf"),
         "seed_us_per_query": t_seed * us,
         "hot_us_per_query": t_flat * us,
-        "bucket_scale": bucket_scale,
         "kernels": {
             "seed_rebuild_binary": {"us_per_query": t_seed * us},
             "overlay_flat": {
                 "us_per_query": t_flat * us,
                 "speedup_vs_seed": t_seed / t_flat if t_flat > 0 else float("inf"),
-            },
-            "overlay_bucket": {
-                "us_per_query": t_bucket * us,
-                "speedup_vs_seed": t_seed / t_bucket if t_bucket > 0 else float("inf"),
-                "bucket_active": bucket_scale is not None,
             },
             "forest_batched": {
                 "us_per_query": t_batched * us,
@@ -173,14 +165,14 @@ def bench_single_pair(net, name: str) -> tuple[dict, list[str]]:
 
 
 def bench_all_pairs(net, name: str, workers: int) -> tuple[dict, list[str]]:
-    """Serial vs both pool paths, plus the worker-startup cost comparison.
+    """Serial vs the pool path, plus the worker-startup cost comparison.
 
-    On a 1-CPU box neither pool path can show a wall-clock win (recorded
+    On a 1-CPU machine the pool cannot show a wall-clock win (recorded
     honestly), so the startup comparison carries the asserted claim:
-    attaching the shared segment must cost < 10% of what the legacy path
-    pays to pickle ``G_all`` once per worker.  That ratio is machine-
-    independent — it compares two costs measured on the same box — and a
-    violation is a correctness-grade error, not a noisy timing.
+    attaching the shared segment must cost < 10% of pickling ``G_all``
+    to each worker.  That ratio is machine-independent — it compares two
+    costs measured on the same machine — and a violation is a
+    correctness-grade error, not a noisy timing.
     """
     import pickle
 
@@ -197,18 +189,10 @@ def bench_all_pairs(net, name: str, workers: int) -> tuple[dict, list[str]]:
     t_serial = time.perf_counter() - start
 
     start = time.perf_counter()
-    via_shared = route_all_pairs_parallel(
-        net, workers=workers, aux=aux, shared=True
-    )
+    via_shared = route_all_pairs_parallel(net, workers=workers, aux=aux)
     t_shared = time.perf_counter() - start
 
-    start = time.perf_counter()
-    via_pickled = route_all_pairs_parallel(
-        net, workers=workers, aux=aux, shared=False
-    )
-    t_pickled = time.perf_counter() - start
-
-    # What the legacy spawn/forkserver path pays per worker: the parent
+    # What handing G_all to each worker by pickle would cost: the parent
     # pickles the initializer payload (G_all + kernel + hook) once per
     # worker and each child unpickles it — the round trip is the bill.
     # Best-of-5 for both costs: these are microsecond-to-millisecond
@@ -236,14 +220,11 @@ def bench_all_pairs(net, name: str, workers: int) -> tuple[dict, list[str]]:
 
     errors: list[str] = []
     serial_view = {p: (v.hops, v.total_cost) for p, v in serial.paths.items()}
-    for label, fanned in (("shared", via_shared), ("pickled", via_pickled)):
-        fanned_view = {
-            p: (v.hops, v.total_cost) for p, v in fanned.paths.items()
-        }
-        if serial_view != fanned_view:
-            errors.append(f"{name}: parallel[{label}] all-pairs differs from serial")
-        if serial.stats.settled != fanned.stats.settled:
-            errors.append(f"{name}: parallel[{label}] settled-count differs")
+    fanned_view = {p: (v.hops, v.total_cost) for p, v in via_shared.paths.items()}
+    if serial_view != fanned_view:
+        errors.append(f"{name}: parallel all-pairs differs from serial")
+    if serial.stats.settled != via_shared.stats.settled:
+        errors.append(f"{name}: parallel settled-count differs")
     if t_attach_cost >= 0.10 * t_pickle_cost:
         errors.append(
             f"{name}: shared attach ({t_attach_cost * 1e3:.2f} ms) is not "
@@ -258,9 +239,7 @@ def bench_all_pairs(net, name: str, workers: int) -> tuple[dict, list[str]]:
         "cpu_count": os.cpu_count(),
         "serial_seconds": t_serial,
         "parallel_shared_seconds": t_shared,
-        "parallel_pickled_seconds": t_pickled,
         "parallel_speedup": t_serial / t_shared if t_shared > 0 else 0.0,
-        "parallel_pickled_speedup": t_serial / t_pickled if t_pickled > 0 else 0.0,
         "pickle_cost_seconds": t_pickle_cost,
         "pickle_payload_bytes": payload_bytes,
         "attach_cost_seconds": t_attach_cost,
@@ -277,31 +256,37 @@ def bench_restricted_crossover(
 
     Fixed ``n`` and a large universe ``k``; ``k₀`` (the per-link
     wavelength bound) sweeps across the crossover.  Per point both
-    routers answer every one-to-all query (construction excluded — the
-    build-time gap is reported separately) and the trees are compared
-    hop-for-hop.
+    structures answer every one-to-all query (construction excluded —
+    the build-time gap is reported separately) and the trees are
+    compared hop-for-hop.  Each side's time is the best of
+    :data:`CROSSOVER_REPEATS` interleaved passes, so a slow moment of
+    the machine does not land on one side only.
     """
     errors: list[str] = []
     rows = []
     for k0 in k0_values:
         net = restricted_wan(n, k, k0, seed=seed)
-        fast = LiangShenRouter(net, restricted=True)
-        general = LiangShenRouter(net, restricted=False)
+        general = LiangShenRouter(net)
 
         start = time.perf_counter()
-        fast.layered_graph()
+        fused = build_restricted_graph(net)
         t_build_fast = time.perf_counter() - start
         start = time.perf_counter()
         general.all_pairs_graph()
         t_build_general = time.perf_counter() - start
 
         nodes = net.nodes()
-        start = time.perf_counter()
-        general_trees = [general.route_tree(s) for s in nodes]
-        t_general = time.perf_counter() - start
-        start = time.perf_counter()
-        fast_trees = [fast.route_tree(s) for s in nodes]
-        t_fast = time.perf_counter() - start
+        scratch = ScratchBuffers(fused.graph.num_nodes)
+        t_general = t_fast = float("inf")
+        for _ in range(CROSSOVER_REPEATS):
+            start = time.perf_counter()
+            general_trees = [general.route_tree(s) for s in nodes]
+            t_general = min(t_general, time.perf_counter() - start)
+            start = time.perf_counter()
+            fast_trees = [
+                restricted_tree(fused, s, scratch=scratch)[0] for s in nodes
+            ]
+            t_fast = min(t_fast, time.perf_counter() - start)
 
         for s, ref, got in zip(nodes, general_trees, fast_trees):
             if ref.keys() != got.keys():
@@ -318,7 +303,7 @@ def bench_restricted_crossover(
             {
                 "k0": k0,
                 "measured_k0": net.max_link_wavelengths,
-                "aux_nodes_restricted": fast.layered_graph().graph.num_nodes,
+                "aux_nodes_restricted": fused.graph.num_nodes,
                 "aux_nodes_general": general.all_pairs_graph().graph.num_nodes,
                 "build_restricted_seconds": t_build_fast,
                 "build_general_seconds": t_build_general,
@@ -568,7 +553,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{name}: {row['queries']} warm queries  "
             f"seed {row['seed_us_per_query']:8.1f} us/q  "
             f"flat {kernels['overlay_flat']['us_per_query']:8.1f} us/q  "
-            f"bucket {kernels['overlay_bucket']['us_per_query']:8.1f} us/q  "
             f"batched {kernels['forest_batched']['us_per_query']:8.1f} us/q  "
             f"(best {max(k['speedup_vs_seed'] for k in kernels.values() if 'speedup_vs_seed' in k):.1f}x)"
         )
@@ -582,7 +566,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{name}: all-pairs serial {row['serial_seconds'] * 1e3:8.1f} ms  "
             f"workers={row['workers']} "
             f"shared {row['parallel_shared_seconds'] * 1e3:8.1f} ms  "
-            f"pickled {row['parallel_pickled_seconds'] * 1e3:8.1f} ms  "
             f"({row['parallel_speedup']:.2f}x on {os.cpu_count()} CPU(s); "
             f"attach {row['attach_cost_seconds'] * 1e3:.2f} ms vs "
             f"pickle {row['pickle_cost_seconds'] * 1e3:.2f} ms per worker)"
@@ -633,10 +616,10 @@ def server_smoke() -> int:
     aggregated stats — then shuts down and audits ``/dev/shm``.
     """
     from repro.server import RouterClient, RouterServer
-    from repro.shortestpath.shared import leaked_segments
+    from repro.shortestpath.shared import own_leaked_segments
 
     net = sparse_wan(32, seed=32)
-    before = set(leaked_segments())
+    before = own_leaked_segments()
     serial = LiangShenRouter(net).route_all_pairs()
     with RouterServer(net, workers=2, uds="") as server:
         with RouterClient(server.address) as client:
@@ -654,7 +637,7 @@ def server_smoke() -> int:
         failures.append("wire all-pairs iteration order differs from serial")
     if remote.stats != serial.stats:
         failures.append("wire all-pairs stats differ from serial")
-    leaked = sorted(set(leaked_segments()) - before)
+    leaked = sorted(own_leaked_segments() - before)
     if leaked:
         failures.append(f"leaked shared-memory segment(s): {', '.join(leaked)}")
     if failures:
@@ -677,10 +660,10 @@ def serving_smoke() -> int:
     """
     from repro.cluster import ClosedLoopLoadGenerator, FrontendRouter
     from repro.cluster import ShardManager, all_pairs_workload
-    from repro.shortestpath.shared import leaked_segments
+    from repro.shortestpath.shared import own_leaked_segments
 
     net = sparse_wan(24, seed=24)
-    before = set(leaked_segments())
+    before = own_leaked_segments()
     router = LiangShenRouter(net)
     failures = []
     with ShardManager(net, shards=2, replicas=2, workers=1) as manager:
@@ -711,7 +694,7 @@ def serving_smoke() -> int:
         f"p999 {report.latency['p999']:.2f} ms, "
         f"{os.cpu_count()} CPU(s))"
     )
-    leaked = sorted(set(leaked_segments()) - before)
+    leaked = sorted(own_leaked_segments() - before)
     if leaked:
         failures.append(f"leaked shared-memory segment(s): {', '.join(leaked)}")
     if failures:

@@ -43,6 +43,7 @@ from repro.io.dot import (
 )
 from repro.io.serialization import network_from_json, network_to_json, path_to_json
 from repro.server.protocol import valid_ip, valid_port
+from repro.shortestpath.shared import own_leaked_segments
 
 from repro import __version__
 
@@ -315,9 +316,7 @@ def _oracle_matrix(args: argparse.Namespace):
 
 def _audit_segments(before: set[str]) -> int:
     """Nonzero (EXIT_VIOLATION) when a run left shared segments behind."""
-    from repro.shortestpath.shared import leaked_segments
-
-    leaked = sorted(set(leaked_segments()) - before)
+    leaked = sorted(own_leaked_segments() - before)
     if leaked:
         print(
             f"error: leaked shared-memory segment(s): {', '.join(leaked)}",
@@ -328,11 +327,10 @@ def _audit_segments(before: set[str]) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.shortestpath.shared import leaked_segments
     from repro.verify import DifferentialHarness, random_scenario, replay_corpus
     from repro.verify.scenarios import ScenarioLimits
 
-    segments_before = set(leaked_segments())
+    segments_before = own_leaked_segments()
     oracles, manager = _oracle_matrix(args)
     harness = DifferentialHarness(oracles)
     failures = 0
@@ -369,14 +367,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.shortestpath.shared import leaked_segments
     from repro.verify import DifferentialHarness, save_case, shrink_scenario
     from repro.verify.scenarios import ScenarioLimits
 
     if args.seconds <= 0:
         print("--seconds must be > 0", file=sys.stderr)
         return EXIT_ERROR
-    segments_before = set(leaked_segments())
+    segments_before = own_leaked_segments()
     oracles, manager = _oracle_matrix(args)
     harness = DifferentialHarness(oracles)
     limits = ScenarioLimits(max_nodes=args.max_nodes)
@@ -430,9 +427,8 @@ def _serve_bench(server, network: WDMNetwork, args: argparse.Namespace) -> int:
     import time
 
     from repro.server import RouterClient
-    from repro.shortestpath.shared import leaked_segments
 
-    segments_before = set(leaked_segments())
+    segments_before = own_leaked_segments()
     server.start()
     router = LiangShenRouter(network)
     mismatches = 0
@@ -558,9 +554,8 @@ def _chaos_cluster(
     """``repro chaos --cluster``: soak the sharded tier instead of the
     in-process service stack.  Exit 5 on any violation or leaked segment."""
     from repro.cluster import ClusterSoak
-    from repro.shortestpath.shared import leaked_segments
 
-    segments_before = set(leaked_segments())
+    segments_before = own_leaked_segments()
     total_violations = 0
     for index, (name, network) in enumerate(networks):
         soak = ClusterSoak(
@@ -690,12 +685,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     codes: 4 when the identity probe disagrees, 5 on a soak violation
     or a leaked shared segment.
     """
-    from repro.shortestpath.shared import leaked_segments
-
     if args.shards < 1 or args.replicas < 1 or args.workers < 1:
         print("--shards/--replicas/--workers must be >= 1", file=sys.stderr)
         return EXIT_ERROR
-    segments_before = set(leaked_segments())
+    segments_before = own_leaked_segments()
     name, network = _cluster_network(args)
 
     if args.mode == "smoke":

@@ -44,7 +44,7 @@ from repro.exceptions import RemoteRouterError, SemilightError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan, generate_plan
 from repro.server.client import RouterClient
-from repro.shortestpath.shared import leaked_segments
+from repro.shortestpath.shared import own_leaked_segments
 from repro.verify.certificate import check_certificate
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -173,7 +173,7 @@ class ClusterSoak:
         )
         # Audit residue the soak itself creates — other live servers in
         # this process (tests run tiers side by side) own their segments.
-        segments_before = set(leaked_segments())
+        segments_before = own_leaked_segments()
         plan = generate_plan(
             self._network,
             seed=self._seed,
@@ -370,7 +370,7 @@ class ClusterSoak:
                 )
             frontend.close()
 
-        report.leaked = sorted(set(leaked_segments()) - segments_before)
+        report.leaked = sorted(own_leaked_segments() - segments_before)
         if report.leaked:
             report.violations.append(
                 f"leaked shared segments: {report.leaked}"

@@ -6,107 +6,65 @@ mutable state, so they partition perfectly across OS processes — the only
 engineering problem is getting ``G_all`` into the workers without paying
 a per-task serialization bill.
 
-:func:`route_all_pairs_parallel` gets ``G_all`` into the workers two ways:
+:func:`route_all_pairs_parallel` publishes the CSR arrays once into a
+:class:`~repro.shortestpath.shared.SharedCSR` segment and each worker
+*attaches* through the pool initializer — a header parse plus one small
+metadata unpickle, independent of graph size.  No worker ever pickles or
+copies the arrays, under any start method; the segment is unlinked when
+the pool finishes.  A platform without usable shared memory raises
+instead of routing.
 
-* **Shared memory (default, ``shared=True``):** the parent publishes the
-  CSR arrays once into a :class:`~repro.shortestpath.shared.SharedCSR`
-  segment and each worker *attaches* through the pool initializer — a
-  header parse plus one small metadata unpickle, independent of graph
-  size.  No worker ever pickles or copies the arrays, under any start
-  method; the segment is unlinked when the pool finishes.
-* **Legacy (``shared=False``):** with the **fork** start method the
-  parent stores ``G_all`` in a module global and forked children inherit
-  it through copy-on-write memory; with **spawn**/**forkserver** the
-  graph is pickled once per worker through the initializer.  This is the
-  path whose per-worker cost motivated the shared segment — the bench
-  records both so the regression stays visible.
-
-Sources are grouped into contiguous chunks (several per worker, for load
-balance against uneven tree sizes) and each worker returns its decoded
-trees plus the per-run work counters; the parent merges chunks in source
-order, so the resulting :class:`~repro.core.routing.AllPairsResult` is
-identical — same paths, same dict iteration order, same aggregated
-``QueryStats`` — to a serial :meth:`LiangShenRouter.route_all_pairs` run.
+Every all-pairs sweep in the package — the serial
+:meth:`LiangShenRouter.route_all_pairs`, this module's pool, and the
+router server's ``ALL_PAIRS_CHUNK`` jobs — runs the same chunk engine:
+:func:`chunk_sources` splits the sources into contiguous chunks (several
+per worker, for load balance against uneven tree sizes),
+:func:`route_chunk` runs one tree per source of a chunk, and
+:func:`merge_chunks` folds the chunks back in source order.  The result
+is therefore identical — same paths, same dict iteration order, same
+aggregated ``QueryStats`` — however the chunks were computed.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 from repro.core.auxiliary import AllPairsGraph, build_all_pairs_graph
 from repro.core.instrumentation import QueryStats
 from repro.core.routing import AllPairsResult, run_tree
 from repro.core.semilightpath import Semilightpath
-from repro.shortestpath.flat import ScratchBuffers
+from repro.shortestpath.flat import ScratchBuffers, ScratchPool
+from repro.shortestpath.heaps import AddressableHeap
+from repro.shortestpath.shared import (
+    attach_all_pairs_graph,
+    share_all_pairs_graph,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.network import WDMNetwork
 
-__all__ = ["route_all_pairs_parallel"]
+__all__ = [
+    "route_all_pairs_parallel",
+    "chunk_sources",
+    "route_chunk",
+    "merge_chunks",
+]
 
 NodeId = Hashable
 
-#: Worker-side shared state: set by fork inheritance or the pool initializer.
+#: One chunk's output: ``(trees, settled, relaxations, heap_totals)``,
+#: where ``trees`` lists ``(source, {target: path})`` in source order.
+Chunk = tuple[
+    list[tuple[NodeId, dict[NodeId, Semilightpath]]], int, int, dict[str, int]
+]
+
+#: Worker-side state, installed by the pool initializer.
 _SHARED: dict[str, object] = {}
 
 
-def _worker_init(payload: tuple[AllPairsGraph, str, object] | None) -> None:
-    """Pool initializer: install the shared graph (spawn/forkserver only).
-
-    Under fork the payload is ``None`` and the worker keeps the module
-    global it inherited from the parent.
-    """
-    if payload is not None:
-        _SHARED["aux"], _SHARED["heap"], _SHARED["fault_hook"] = payload
-
-
-def _worker_init_shared(payload: tuple[str, str, object]) -> None:
-    """Pool initializer for the shared-memory path: attach by name.
-
-    The payload carries only the segment *name* — deliberately, even
-    under fork (where the worker could inherit the parent's handle), so
-    every worker exercises the same zero-copy attach that spawned
-    workers and the router server's pool rely on.
-    """
-    from repro.shortestpath.shared import attach_all_pairs_graph
-
-    segment, heap, fault_hook = payload
-    _SHARED["aux"] = attach_all_pairs_graph(segment)
-    _SHARED["heap"] = heap
-    _SHARED["fault_hook"] = fault_hook
-
-
-def _route_chunk(
-    job: tuple[int, list[NodeId]],
-) -> tuple[int, list[tuple[NodeId, dict[NodeId, Semilightpath]]], int, int, dict[str, int]]:
-    """Run one tree per source in the chunk against the shared ``G_all``."""
-    index, sources = job
-    aux: AllPairsGraph = _SHARED["aux"]  # type: ignore[assignment]
-    heap: str = _SHARED["heap"]  # type: ignore[assignment]
-    fault_hook = _SHARED.get("fault_hook")
-    if fault_hook is not None:
-        fault_hook(index)  # chaos layer: may raise inside this worker
-    # Scratch is reused across this worker's chunks; kernels that manage
-    # their own per-query state (the addressable heaps) simply ignore it.
-    scratch = _SHARED.get("scratch")
-    if scratch is None:
-        scratch = _SHARED["scratch"] = ScratchBuffers(aux.graph.num_nodes)
-    trees: list[tuple[NodeId, dict[NodeId, Semilightpath]]] = []
-    settled = relaxations = 0
-    heap_totals: dict[str, int] = {}
-    for source in sources:
-        tree, run = run_tree(aux, source, heap=heap, scratch=scratch)
-        trees.append((source, tree))
-        settled += run.settled
-        relaxations += run.relaxations
-        for key, value in run.heap_stats.items():
-            heap_totals[key] = heap_totals.get(key, 0) + value
-    return index, trees, settled, relaxations, heap_totals
-
-
-def _chunk(sources: list[NodeId], num_chunks: int) -> list[list[NodeId]]:
+def chunk_sources(sources: list[NodeId], num_chunks: int) -> list[list[NodeId]]:
     """Split *sources* into up to *num_chunks* contiguous, balanced chunks."""
     num_chunks = max(1, min(num_chunks, len(sources)))
     size, extra = divmod(len(sources), num_chunks)
@@ -119,6 +77,82 @@ def _chunk(sources: list[NodeId], num_chunks: int) -> list[list[NodeId]]:
     return chunks
 
 
+def route_chunk(
+    aux: AllPairsGraph,
+    sources: Iterable[NodeId],
+    heap: str | Callable[[], AddressableHeap] = "flat",
+    scratch: ScratchBuffers | ScratchPool | None = None,
+) -> Chunk:
+    """One Corollary 1 tree per source, plus the summed work counters.
+
+    Kernels that manage their own per-query state (the addressable
+    heaps) ignore *scratch*.
+    """
+    trees: list[tuple[NodeId, dict[NodeId, Semilightpath]]] = []
+    settled = relaxations = 0
+    heap_totals: dict[str, int] = {}
+    for source in sources:
+        tree, run = run_tree(aux, source, heap=heap, scratch=scratch)
+        trees.append((source, tree))
+        settled += run.settled
+        relaxations += run.relaxations
+        for key, value in run.heap_stats.items():
+            heap_totals[key] = heap_totals.get(key, 0) + value
+    return trees, settled, relaxations, heap_totals
+
+
+def merge_chunks(sizes, chunks: Iterable[Chunk]) -> AllPairsResult:
+    """Fold *chunks* (in source order) into one :class:`AllPairsResult`."""
+    paths: dict[tuple[NodeId, NodeId], Semilightpath] = {}
+    settled = relaxations = 0
+    heap_totals: dict[str, int] = {}
+    for trees, chunk_settled, chunk_relaxations, chunk_heap in chunks:
+        for source, tree in trees:
+            for target, path in tree.items():
+                paths[(source, target)] = path
+        settled += chunk_settled
+        relaxations += chunk_relaxations
+        for key, value in chunk_heap.items():
+            heap_totals[key] = heap_totals.get(key, 0) + value
+    return AllPairsResult(
+        paths=paths,
+        stats=QueryStats(
+            sizes=sizes,
+            settled=settled,
+            relaxations=relaxations,
+            heap=heap_totals,
+        ),
+    )
+
+
+def _worker_init(payload: tuple[str, str, object]) -> None:
+    """Pool initializer: attach the published ``G_all`` by name.
+
+    The payload carries only the segment *name* — deliberately, even
+    under fork (where the worker could inherit the parent's handle), so
+    every worker exercises the same zero-copy attach that spawned
+    workers and the router server's pool rely on.
+    """
+    segment, heap, fault_hook = payload
+    aux = attach_all_pairs_graph(segment)
+    _SHARED["aux"] = aux
+    _SHARED["heap"] = heap
+    _SHARED["fault_hook"] = fault_hook
+    # Reused across this worker's chunks.
+    _SHARED["scratch"] = ScratchBuffers(aux.graph.num_nodes)
+
+
+def _route_chunk(job: tuple[int, list[NodeId]]) -> Chunk:
+    """Pool task: one chunk against the worker's attached ``G_all``."""
+    index, sources = job
+    fault_hook = _SHARED["fault_hook"]
+    if fault_hook is not None:
+        fault_hook(index)  # chaos layer: may raise inside this worker
+    return route_chunk(
+        _SHARED["aux"], sources, _SHARED["heap"], _SHARED["scratch"]
+    )
+
+
 def route_all_pairs_parallel(
     network: "WDMNetwork",
     workers: int,
@@ -126,7 +160,6 @@ def route_all_pairs_parallel(
     aux: AllPairsGraph | None = None,
     chunks_per_worker: int = 4,
     fault_hook=None,
-    shared: bool = True,
 ) -> AllPairsResult:
     """Corollary 1 with the ``n`` tree runs fanned across a process pool.
 
@@ -153,17 +186,17 @@ def route_all_pairs_parallel(
         only on the pool path (``workers > 1``); a hook that raises
         surfaces the exception through the pool exactly like a real
         worker crash.
-    shared:
-        When True (default) the CSR arrays are published once into a
-        shared-memory segment and workers attach zero-copy views; when
-        False the legacy fork-inherit / pickle-per-worker path runs.
-        Falls back to the legacy path automatically if the platform has
-        no usable shared memory.
 
     Returns
     -------
     AllPairsResult
         Identical paths and aggregated stats to the serial run.
+
+    Raises
+    ------
+    OSError
+        When ``G_all`` cannot be published into shared memory; no
+        segment is left behind.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -174,86 +207,21 @@ def route_all_pairs_parallel(
     sources = network.nodes()
 
     if workers == 1 or len(sources) <= 1:
-        paths: dict[tuple[NodeId, NodeId], Semilightpath] = {}
-        settled = relaxations = 0
-        heap_totals: dict[str, int] = {}
-        scratch = ScratchBuffers(aux.graph.num_nodes)
-        for source in sources:
-            tree, run = run_tree(aux, source, heap=heap, scratch=scratch)
-            for target, path in tree.items():
-                paths[(source, target)] = path
-            settled += run.settled
-            relaxations += run.relaxations
-            for key, value in run.heap_stats.items():
-                heap_totals[key] = heap_totals.get(key, 0) + value
-        return AllPairsResult(
-            paths=paths,
-            stats=QueryStats(
-                sizes=aux.sizes,
-                settled=settled,
-                relaxations=relaxations,
-                heap=heap_totals,
-            ),
-        )
+        chunk = route_chunk(aux, sources, heap, ScratchBuffers(aux.graph.num_nodes))
+        return merge_chunks(aux.sizes, [chunk])
 
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    segment = None
-    if shared:
-        try:
-            from repro.shortestpath.shared import share_all_pairs_graph
-
-            segment = share_all_pairs_graph(aux)
-        except Exception:
-            segment = None  # no /dev/shm (or equivalent): legacy path
-    if segment is not None:
-        initializer = _worker_init_shared
-        payload = (segment.name, heap, fault_hook)
-    else:
-        initializer = _worker_init
-        # Fork children inherit _SHARED through copy-on-write — no
-        # pickling at all.  Other start methods get the graph through the
-        # initializer, pickled once per worker rather than once per task.
-        payload = (
-            None
-            if ctx.get_start_method() == "fork"
-            else (aux, heap, fault_hook)
-        )
-        _SHARED["aux"] = aux
-        _SHARED["heap"] = heap
-        _SHARED["fault_hook"] = fault_hook
-    jobs = list(enumerate(_chunk(sources, workers * chunks_per_worker)))
+    segment = share_all_pairs_graph(aux)
+    jobs = list(enumerate(chunk_sources(sources, workers * chunks_per_worker)))
     try:
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=ctx,
-            initializer=initializer,
-            initargs=(payload,),
+            initializer=_worker_init,
+            initargs=((segment.name, heap, fault_hook),),
         ) as pool:
-            results = list(pool.map(_route_chunk, jobs))
+            chunks = list(pool.map(_route_chunk, jobs))
     finally:
-        _SHARED.clear()
-        if segment is not None:
-            segment.unlink()
-
-    paths = {}
-    settled = relaxations = 0
-    heap_totals = {}
-    results.sort(key=lambda chunk_result: chunk_result[0])
-    for _index, trees, chunk_settled, chunk_relaxations, chunk_heap in results:
-        for source, tree in trees:
-            for target, path in tree.items():
-                paths[(source, target)] = path
-        settled += chunk_settled
-        relaxations += chunk_relaxations
-        for key, value in chunk_heap.items():
-            heap_totals[key] = heap_totals.get(key, 0) + value
-    return AllPairsResult(
-        paths=paths,
-        stats=QueryStats(
-            sizes=aux.sizes,
-            settled=settled,
-            relaxations=relaxations,
-            heap=heap_totals,
-        ),
-    )
+        segment.unlink()
+    return merge_chunks(aux.sizes, chunks)

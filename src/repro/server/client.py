@@ -13,10 +13,14 @@ maps to :class:`~repro.exceptions.RemoteRouterError`.
 
 ``route_all_pairs(workers=)`` reproduces the serial
 :meth:`~repro.core.routing.LiangShenRouter.route_all_pairs` result
-byte-identically: sources are split into the same contiguous chunks as
-:func:`repro.core.parallel.route_all_pairs_parallel`, fanned over
+byte-identically: it runs the chunk engine of :mod:`repro.core.parallel`
+over the wire — :func:`~repro.core.parallel.chunk_sources` splits the
+sources, the server answers each chunk with
+:func:`~repro.core.parallel.route_chunk` and encodes the paths, and the
+client decodes them and folds the chunks with
+:func:`~repro.core.parallel.merge_chunks`.  Chunks are fanned over
 *workers* client connections (the server's pool parallelizes only across
-in-flight requests), and merged in chunk order.
+in-flight requests).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import threading
 from queue import Empty, Queue
 from typing import Any, Hashable
 
-from repro.core.instrumentation import QueryStats
+from repro.core.parallel import chunk_sources, merge_chunks
 from repro.core.routing import AllPairsResult
 from repro.core.semilightpath import Semilightpath
 from repro.exceptions import (
@@ -200,15 +204,13 @@ class RouterClient:
         concurrently (defaults to the server's worker count); the
         server's pool does the actual tree runs.
         """
-        from repro.core.parallel import _chunk
-
         snapshot = self.snapshot()
         sources = snapshot["sources"]
         if workers is None:
             workers = snapshot["workers"]
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        chunks = _chunk(sources, workers * chunks_per_worker)
+        chunks = chunk_sources(sources, workers * chunks_per_worker)
         jobs: Queue = Queue()
         for index, chunk in enumerate(chunks):
             jobs.put((index, chunk))
@@ -225,10 +227,13 @@ class RouterClient:
                         index, chunk = jobs.get_nowait()
                     except Empty:
                         return
-                    reply = client._call_retrying(
-                        Op.ALL_PAIRS_CHUNK, (index, chunk)
-                    )
-                    results[index] = reply["chunk"]
+                    reply = client._call_retrying(Op.ALL_PAIRS_CHUNK, chunk)
+                    wire_trees, *counters = reply["chunk"]
+                    trees = [
+                        (s, {t: protocol.decode_path(w) for t, w in tree})
+                        for s, tree in wire_trees
+                    ]
+                    results[index] = (trees, *counters)
             except Exception as exc:  # noqa: BLE001 - re-raised in the caller
                 errors.append(exc)
             finally:
@@ -245,27 +250,7 @@ class RouterClient:
         if errors:
             raise errors[0]
 
-        paths: dict[tuple[NodeId, NodeId], Semilightpath] = {}
-        settled = relaxations = 0
-        heap_totals: dict[str, int] = {}
-        for chunk_reply in results:
-            _index, trees, chunk_settled, chunk_relax, chunk_heap = chunk_reply
-            for source, tree in trees:
-                for target, wire in tree:
-                    paths[(source, target)] = protocol.decode_path(wire)
-            settled += chunk_settled
-            relaxations += chunk_relax
-            for key, value in chunk_heap.items():
-                heap_totals[key] = heap_totals.get(key, 0) + value
-        return AllPairsResult(
-            paths=paths,
-            stats=QueryStats(
-                sizes=snapshot["sizes"],
-                settled=settled,
-                relaxations=relaxations,
-                heap=heap_totals,
-            ),
-        )
+        return merge_chunks(snapshot["sizes"], results)
 
     # -- control plane --------------------------------------------------------
 

@@ -56,7 +56,9 @@ __all__ = [
 ]
 
 MAGIC = b"RSRV"
-VERSION = 1
+#: Bumped whenever a payload or reply shape changes (2: ALL_PAIRS_CHUNK
+#: takes bare sources and replies without an echoed chunk index).
+VERSION = 2
 _HEADER = struct.Struct("<4sBBHI")
 HEADER_SIZE = _HEADER.size
 #: Hard cap on one frame's payload; an ALL_PAIRS_CHUNK reply for the

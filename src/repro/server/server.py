@@ -138,11 +138,11 @@ def _worker_main(segment: str, heap: str, index: int, tasks, results) -> None:
             value, epoch = shared.read_stable(compute)
             return {"paths": value, "epoch": epoch}
         if op == Op.ALL_PAIRS_CHUNK:
-            index_, sources = payload
+            sources = payload
 
             def compute():
                 refresh()
-                from repro.core.routing import run_tree
+                from repro.core.parallel import route_chunk
                 from repro.shortestpath.flat import ScratchBuffers
 
                 scratch = state.get("scratch")
@@ -150,25 +150,12 @@ def _worker_main(segment: str, heap: str, index: int, tasks, results) -> None:
                     scratch = state["scratch"] = ScratchBuffers(
                         aux.graph.num_nodes
                     )
-                trees = []
-                settled = relaxations = 0
-                heap_totals: dict[str, int] = {}
-                for s in sources:
-                    tree, run = run_tree(aux, s, heap=heap, scratch=scratch)
-                    trees.append(
-                        (
-                            s,
-                            [
-                                (t, protocol.encode_path(p))
-                                for t, p in tree.items()
-                            ],
-                        )
-                    )
-                    settled += run.settled
-                    relaxations += run.relaxations
-                    for key, value in run.heap_stats.items():
-                        heap_totals[key] = heap_totals.get(key, 0) + value
-                return (index_, trees, settled, relaxations, heap_totals)
+                trees, *counters = route_chunk(aux, sources, heap, scratch)
+                wire = [
+                    (s, [(t, protocol.encode_path(p)) for t, p in tree.items()])
+                    for s, tree in trees
+                ]
+                return (wire, *counters)
 
             value, epoch = shared.read_stable(compute)
             return {"chunk": value, "epoch": epoch}
@@ -773,6 +760,7 @@ class RouterServer:
     def _stats(self) -> dict[str, Any]:
         with self._lock:
             pending = len(self._jobs)
+            requests = self._requests
         with self._gossip_lock:
             gossip = {
                 "id": self.gossip_id,
@@ -787,7 +775,7 @@ class RouterServer:
                 for i, p in enumerate(self._workers)
             ],
             "respawns": self._respawns,
-            "requests": self._requests,
+            "requests": requests,
             "pending": pending,
             "epoch": self._shared.epoch,
             "delta_epoch": self._delta.delta_epoch,
@@ -795,7 +783,8 @@ class RouterServer:
         }
 
     def _dispatch(self, op: Op, payload: Any):
-        self._requests += 1
+        with self._lock:
+            self._requests += 1
         if op in (Op.ROUTE, Op.ROUTE_BATCH, Op.ALL_PAIRS_CHUNK):
             return self._submit(op, payload)
         if op == Op.SLEEP:

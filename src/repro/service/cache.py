@@ -36,6 +36,7 @@ import math
 import threading
 from typing import TYPE_CHECKING, Callable, Hashable
 
+from repro.core import routing
 from repro.core.auxiliary import KIND_SINK
 from repro.core.routing import (
     LiangShenRouter,
@@ -428,7 +429,14 @@ class EpochRouterCache:
                 # _tree ran outside the lock/refresh protocol.  A real
                 # exception so the invariant holds under ``python -O``.
                 raise ValueError("epoch cache queried before refresh built a router")
-            tree, run = self._inner._tree_from(self._aux, source)
+            # Looked up on the module at call time, so a wrapper installed
+            # on ``routing.run_tree`` (span tracing) sees every tree build.
+            tree, run = routing.run_tree(
+                self._aux,
+                source,
+                heap=self._inner.heap,
+                scratch=self._inner._pool.get(self._aux.graph.num_nodes),
+            )
             self._trees[source] = tree
             if self._metrics is not None:
                 self._metrics.observe_query(

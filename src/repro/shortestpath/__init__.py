@@ -13,18 +13,14 @@ routers.  It provides:
 * Dijkstra with a pluggable heap and early target stop,
 * a flat-array Dijkstra fast path (:mod:`repro.shortestpath.flat`) —
   heapq with lazy deletion over the CSR arrays, with scratch buffers
-  reusable across queries (the routers' default kernel),
-* a Dial bucket-queue kernel (:mod:`repro.shortestpath.bucket`) that
-  activates on integer-lattice weights and falls back to the flat
-  kernel otherwise, and
+  reusable across queries (the routers' default kernel), and
 * Bellman–Ford (both classic synchronous rounds and SPFA queue forms).
 
 Kernel registry
 ---------------
 Every single-source kernel the routers can dispatch to is registered
-here under a short name (``"flat"``, ``"bucket"``, ``"binary"``,
-``"pairing"``, ``"fibonacci"``).  All registered kernels share one
-uniform signature::
+here under a short name (``"flat"``, ``"binary"``, ``"pairing"``,
+``"fibonacci"``).  All registered kernels share one uniform signature::
 
     kernel(graph, sources, target=None, targets=None, scratch=None)
         -> DijkstraResult
@@ -46,7 +42,6 @@ selected — and therefore lives outside the registry.
 from typing import Callable
 
 from repro.shortestpath.bellman_ford import bellman_ford, spfa
-from repro.shortestpath.bucket import bucket_dijkstra
 from repro.shortestpath.delta import DeltaOverlay, MaterializedOverlay
 from repro.shortestpath.dijkstra import DijkstraResult, dijkstra
 from repro.shortestpath.fibonacci import FibonacciHeap
@@ -120,7 +115,6 @@ def resolve_kernel(heap: "str | Callable") -> _KernelFn:
 
 
 register_kernel("flat", flat_dijkstra)
-register_kernel("bucket", bucket_dijkstra)
 for _name in ("binary", "pairing", "fibonacci"):
     register_kernel(_name, _addressable_kernel(_name))
 del _name
@@ -134,7 +128,6 @@ __all__ = [
     "dijkstra",
     "DijkstraResult",
     "flat_dijkstra",
-    "bucket_dijkstra",
     "register_kernel",
     "resolve_kernel",
     "kernel_names",

@@ -28,23 +28,26 @@ the overlay.
 
 Routing in time independent of ``k`` additionally needs the *query*
 structure to avoid ``G_all``'s ``2n`` virtual terminals:
-:func:`run_restricted_tree` answers a one-to-all query terminal-free on
+:func:`restricted_tree` answers a one-to-all query terminal-free on
 ``G'`` itself — multi-source seeded on ``Y_s`` (what the virtual ``s'``
 fan-out achieves) and read out per target as the min over ``X_t`` (what
 the virtual ``t''`` edges compute).  Because virtual terminals never
 influence the relaxation order of real nodes, the resulting trees are
 hop-identical to :func:`repro.core.routing.run_tree` over ``G_all``.
 
-:func:`restricted_applicable` gates automatic selection on the measured
-``k₀`` against :data:`RESTRICTED_K0_CROSSOVER`, the crossover benched in
-``benchmarks/bench_routing_hotpath.py`` (see its ``restricted_crossover``
-section and ``docs/performance.md``).
+This is an explicit construction, not a serving-path switch: the routers
+always answer on the general structures, and the Theorem 4 path is
+called directly by its tests, the ``liang:restricted`` verification
+oracle and the ``restricted_crossover`` sweep in
+``benchmarks/bench_routing_hotpath.py``.  :func:`restricted_applicable`
+says whether a network is in the regime at all (measured ``k₀`` against
+:data:`RESTRICTED_K0_CROSSOVER`); the oracle uses it as its gate.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import TYPE_CHECKING, Hashable
 
 from repro.core.auxiliary import (
     KIND_IN,
@@ -59,7 +62,11 @@ from repro.core.conversion import (
     FullConversion,
     NoConversion,
 )
+from repro.core.routing import _decode
+from repro.core.semilightpath import Semilightpath
 from repro.shortestpath.dijkstra import DijkstraResult
+from repro.shortestpath.flat import ScratchBuffers, ScratchPool, flat_dijkstra
+from repro.shortestpath.paths import reconstruct_path
 from repro.shortestpath.structures import GraphBuilder
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,21 +76,20 @@ __all__ = [
     "RESTRICTED_K0_CROSSOVER",
     "restricted_applicable",
     "build_restricted_graph",
-    "run_restricted_tree",
+    "restricted_tree",
 ]
 
 NodeId = Hashable
 
-#: Largest measured k₀ for which the restricted structure wins the
-#: crossover bench (``bench_routing_hotpath.py --restricted-crossover``).
-#: Above it the general path's simpler bookkeeping catches up.
+#: Largest k₀ :func:`restricted_applicable` treats as the restricted
+#: regime (the ``liang:restricted`` oracle's gate).
 RESTRICTED_K0_CROSSOVER = 4
 
 
 def restricted_applicable(
     network: "WDMNetwork", crossover: int = RESTRICTED_K0_CROSSOVER
 ) -> bool:
-    """True when the Theorem 4 fast path should serve this network.
+    """True when *network* is in the Theorem 4 restricted regime.
 
     Requires a nonempty link set (``k₀ > 0``), a measured ``k₀`` at or
     below the benched *crossover*, and genuine restriction (``k₀ < k`` —
@@ -204,32 +210,33 @@ _EMPTY_RUN = DijkstraResult(
 )
 
 
-def run_restricted_tree(
+def restricted_tree(
     aux: LayeredGraph,
     source: NodeId,
-    kernel: Callable[..., DijkstraResult],
-    scratch=None,
-) -> tuple[DijkstraResult, dict[NodeId, int]]:
-    """Terminal-free one-to-all run over ``G'`` (Theorem 4 query path).
+    scratch: ScratchBuffers | ScratchPool | None = None,
+) -> tuple[dict[NodeId, Semilightpath], DijkstraResult]:
+    """Theorem 4 one-to-all: a terminal-free tree over ``G'``.
 
-    Seeds *kernel* multi-source on ``Y_s`` (distance 0 — what ``G_all``'s
-    virtual ``s'`` achieves via zero-weight fan-out), runs to exhaustion,
-    and selects per target the minimum-distance member of ``X_t``
-    (ties broken toward the lowest auxiliary id, matching which member
-    settles first and therefore which one ``G_all``'s strict-improvement
-    relaxation records as ``parent[t'']``).
+    Seeds the flat Dijkstra kernel multi-source on ``Y_s`` (distance 0 — what
+    ``G_all``'s virtual ``s'`` achieves via zero-weight fan-out), runs to
+    exhaustion, and decodes per target the minimum-distance member of
+    ``X_t`` (ties broken toward the lowest auxiliary id, matching which
+    member settles first and therefore which one ``G_all``'s
+    strict-improvement relaxation records as ``parent[t'']``).  The tree
+    is hop-identical to :func:`repro.core.routing.run_tree` on the same
+    network; the run's counters exclude the ``2n`` virtual terminals
+    ``G_all`` would also have visited.  A source with no outgoing
+    wavelengths yields an empty tree and an empty run.
 
-    Returns the run plus ``{target: best X_t id}`` for every reachable
-    target other than *source*; decoding stays with the caller
-    (:meth:`repro.core.routing.LiangShenRouter.tree_from`).  A source
-    with no outgoing wavelengths yields an empty run and no targets.
+    *aux* is ``G'`` from either :func:`build_restricted_graph` or
+    :func:`~repro.core.auxiliary.build_layered_graph` (CSR-identical).
     """
     seeds = aux.y_by_node.get(source)
     if not seeds:
-        return _EMPTY_RUN, {}
-    run = kernel(aux.graph, seeds, scratch=scratch)
+        return {}, _EMPTY_RUN
+    run = flat_dijkstra(aux.graph, seeds, scratch=scratch)
     dist = run.dist
-    best: dict[NodeId, int] = {}
+    tree: dict[NodeId, Semilightpath] = {}
     for target, xs in aux.x_by_node.items():
         if target == source:
             continue
@@ -240,6 +247,7 @@ def run_restricted_tree(
             if d < best_d:
                 best_d = d
                 best_x = x
-        if best_x >= 0 and best_d != math.inf:
-            best[target] = best_x
-    return run, best
+        if best_x >= 0:
+            aux_path = reconstruct_path(run.parent, best_x)
+            tree[target] = _decode(aux.decode, aux_path, best_d)
+    return tree, run

@@ -9,7 +9,6 @@ semilightpath exists.  :func:`default_oracles` assembles the full matrix:
 oracle                                hop-exact  applicability
 ====================================  =========  ==========================
 ``liang:{overlay,rebuild}:<kernel>``  yes        always (8 combinations)
-``liang:bucket``                      yes        lattice link costs
 ``liang:restricted``                  yes        restricted regime (small k₀)
 ``liang:all-pairs:serial``            yes        always
 ``liang:all-pairs:parallel``          yes        always (2-process pool)
@@ -22,15 +21,11 @@ oracle                                hop-exact  applicability
 ``distributed:bellman-ford``          no         small state spaces
 ====================================  =========  ==========================
 
-``liang:bucket`` serves single-pair overlay queries through the Dial
-bucket-queue kernel; its gate (quarter-lattice link costs) is an
-optimization, not a correctness requirement — the kernel transparently
-falls back to ``flat`` when the overlay weights leave the lattice, and
-stays hop-exact either way.  ``liang:restricted`` forces the Theorem 4
-fast path (fused ``G'`` builder + terminal-free trees) and serves pairs
-out of per-source trees; it joins only where
-:func:`~repro.shortestpath.restricted.restricted_applicable` would
-auto-select it.  ``batch:lazy-forest`` serves from
+``liang:restricted`` runs the Theorem 4 construction (fused ``G'``
+builder + terminal-free :func:`~repro.shortestpath.restricted.restricted_tree`)
+and serves pairs out of per-source trees; it joins only where
+:func:`~repro.shortestpath.restricted.restricted_applicable` holds.
+``batch:lazy-forest`` serves from
 :class:`~repro.core.batch.BatchRouter`'s lazily-decoded parent forests —
 the coalesced-batch serving path.
 
@@ -61,6 +56,11 @@ from repro.core.routing import LiangShenRouter
 from repro.core.semilightpath import Semilightpath
 from repro.distributed.semilightpath_dist import DistributedSemilightpathRouter
 from repro.exceptions import DeltaParityError, NoPathError
+from repro.shortestpath.restricted import (
+    build_restricted_graph,
+    restricted_applicable,
+    restricted_tree,
+)
 from repro.verify.scenarios import Scenario
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -107,35 +107,12 @@ class Oracle:
             return scenario.chain_free
         if self.name in ("brute-force", "distributed:bellman-ford"):
             return network.num_nodes * network.num_wavelengths <= SMALL_STATE_LIMIT
-        if self.name == "liang:bucket":
-            return _lattice_link_costs(network)
         if self.name == "liang:restricted":
-            from repro.shortestpath.restricted import restricted_applicable
-
             return restricted_applicable(network)
         return True
 
     def __repr__(self) -> str:
         return f"Oracle({self.name!r})"
-
-
-def _lattice_link_costs(network: "WDMNetwork") -> bool:
-    """True when every link cost sits on the scaled-integer lattice.
-
-    Mirrors the overlay-level detection in
-    :func:`repro.shortestpath.structures._detect_lattice_scale` but probes
-    only the physical link costs — cheap, and sufficient for the generated
-    scenario corpus whose costs (links *and* conversions) are all
-    quarter-integers.  A false positive is harmless: the bucket kernel
-    re-detects on the actual overlay weights and falls back to ``flat``.
-    """
-    from repro.shortestpath.structures import MAX_LATTICE_SCALE
-
-    return all(
-        (cost * MAX_LATTICE_SCALE).is_integer()
-        for link in network.links()
-        for cost in link.costs.values()
-    )
 
 
 def _none_on_nopath(route: Callable[[NodeId, NodeId], Semilightpath]) -> RouteFn:
@@ -266,26 +243,20 @@ def _cache_incremental(network: "WDMNetwork") -> RouteFn:
     return probe
 
 
-def _liang_bucket(network: "WDMNetwork") -> RouteFn:
-    """Single-pair overlay queries through the Dial bucket-queue kernel."""
-    router = LiangShenRouter(network, heap="bucket")
-    return _none_on_nopath(lambda s, t: router.route(s, t).path)
-
-
 def _liang_restricted(network: "WDMNetwork") -> RouteFn:
-    """Theorem 4 forced on: fused ``G'`` builder + terminal-free trees.
+    """Theorem 4: fused ``G'`` builder + terminal-free trees.
 
-    Serves pairs out of per-source :meth:`route_tree` results (cached per
-    prepared network) so the tree path — not just the builder — is what
-    gets differentially checked.
+    Serves pairs out of per-source trees (cached per prepared network) so
+    the tree path — not just the builder — is what gets differentially
+    checked.
     """
-    router = LiangShenRouter(network, restricted=True)
+    aux = build_restricted_graph(network)
     trees: dict[NodeId, dict[NodeId, Semilightpath]] = {}
 
     def route(source: NodeId, target: NodeId) -> Semilightpath | None:
         tree = trees.get(source)
         if tree is None:
-            tree = trees[source] = router.route_tree(source)
+            tree = trees[source] = restricted_tree(aux, source)[0]
         return tree.get(target)
 
     return route
@@ -406,9 +377,6 @@ def default_oracles(parallel_workers: int = 2) -> tuple[Oracle, ...]:
                     exact_hops=True,
                 )
             )
-    oracles.append(
-        Oracle(name="liang:bucket", prepare=_liang_bucket, exact_hops=True)
-    )
     oracles.append(
         Oracle(
             name="liang:restricted", prepare=_liang_restricted, exact_hops=True

@@ -28,7 +28,7 @@ from repro.exceptions import (
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent
 from repro.server.client import RouterClient
-from repro.shortestpath.shared import leaked_segments
+from repro.shortestpath.shared import own_leaked_segments, own_segment_prefix
 from repro.topology.reference import paper_figure1_network
 
 
@@ -294,14 +294,20 @@ class TestLoadGenerator:
 
 class TestLifecycle:
     def test_close_unlinks_every_segment(self):
-        before = set(leaked_segments())
+        # Only this process's segments: other processes on the host may
+        # create and hold their own at the same time.
+        prefix = own_segment_prefix()
+        before = own_leaked_segments()
         network = paper_figure1_network()
         manager = ShardManager(network, shards=2, replicas=2, workers=1)
         manager.start()
         segments = manager.segment_names()
         assert len(segments) == 4
+        assert all(name.startswith(prefix) for name in segments)
         manager.close()
-        assert set(leaked_segments()) - before == set()
+        after = own_leaked_segments()
+        assert after - before == set()
+        assert after.isdisjoint(segments)
         manager.close()  # idempotent
 
     def test_soak_smoke(self):

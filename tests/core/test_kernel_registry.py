@@ -8,7 +8,6 @@ from repro.shortestpath import (
     register_kernel,
     resolve_kernel,
 )
-from repro.shortestpath.bucket import bucket_dijkstra
 from repro.shortestpath.flat import flat_dijkstra
 from repro.shortestpath.heaps import BinaryHeap
 from repro.topology.reference import paper_figure1_network
@@ -18,7 +17,6 @@ class TestRegistry:
     def test_builtin_names(self):
         assert set(kernel_names()) >= {
             "flat",
-            "bucket",
             "binary",
             "pairing",
             "fibonacci",
@@ -26,9 +24,6 @@ class TestRegistry:
 
     def test_flat_resolves_to_flat_kernel(self):
         assert resolve_kernel("flat") is flat_dijkstra
-
-    def test_bucket_resolves_to_bucket_kernel(self):
-        assert resolve_kernel("bucket") is bucket_dijkstra
 
     def test_unknown_name_raises_with_inventory(self):
         with pytest.raises(ValueError, match="unknown kernel 'nope'"):
@@ -74,7 +69,7 @@ class TestRouterDispatch:
         with pytest.raises(ValueError, match="unknown kernel"):
             LiangShenRouter(paper_figure1_network(), heap="bogus")
 
-    @pytest.mark.parametrize("heap", ["flat", "bucket", "binary"])
+    @pytest.mark.parametrize("heap", ["flat", "binary"])
     def test_all_registered_kernels_route_identically(self, heap):
         net = paper_figure1_network()
         reference = LiangShenRouter(net, heap="flat").route(1, 7)

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.network import WDMNetwork
-from repro.core.parallel import _chunk, route_all_pairs_parallel
+from repro.core.parallel import chunk_sources, route_all_pairs_parallel
 from repro.core.routing import LiangShenRouter
+from repro.shortestpath.shared import own_leaked_segments
 from repro.topology.generators import waxman_network
 from repro.topology.reference import paper_figure1_network
 
@@ -23,16 +24,16 @@ def _as_comparable(result):
 class TestChunking:
     def test_partition_is_contiguous_and_complete(self):
         sources = list(range(10))
-        chunks = _chunk(sources, 3)
+        chunks = chunk_sources(sources, 3)
         assert [x for chunk in chunks for x in chunk] == sources
         assert max(len(c) for c in chunks) - min(len(c) for c in chunks) <= 1
 
     def test_more_chunks_than_sources(self):
-        chunks = _chunk([1, 2], 8)
+        chunks = chunk_sources([1, 2], 8)
         assert chunks == [[1], [2]]
 
     def test_at_least_one_chunk(self):
-        assert _chunk([1], 0) == [[1]]
+        assert chunk_sources([1], 0) == [[1]]
 
 
 class TestParallelMatchesSerial:
@@ -129,44 +130,37 @@ class TestValidation:
 
 
 class TestSharedMemoryPath:
-    """The zero-copy pool path (``shared=True``, the default) vs legacy."""
+    """Workers attach ``G_all`` from one published shared-memory segment."""
 
-    def test_shared_and_pickled_paths_both_match_serial(self):
+    def test_shared_path_matches_serial(self):
         net = paper_figure1_network()
         serial = LiangShenRouter(net).route_all_pairs()
-        via_shared = route_all_pairs_parallel(net, workers=2, shared=True)
-        via_pickle = route_all_pairs_parallel(net, workers=2, shared=False)
+        via_shared = route_all_pairs_parallel(net, workers=2)
         assert _as_comparable(via_shared) == _as_comparable(serial)
-        assert _as_comparable(via_pickle) == _as_comparable(serial)
         assert list(via_shared.paths) == list(serial.paths)
-        assert list(via_pickle.paths) == list(serial.paths)
 
     def test_no_segment_outlives_the_run(self):
-        from repro.shortestpath.shared import leaked_segments
-
-        before = set(leaked_segments())
-        route_all_pairs_parallel(paper_figure1_network(), workers=2, shared=True)
-        assert set(leaked_segments()) - before == set()
+        before = own_leaked_segments()
+        route_all_pairs_parallel(paper_figure1_network(), workers=2)
+        assert own_leaked_segments() - before == set()
 
     def test_segment_reaped_even_when_a_worker_raises(self):
-        from repro.shortestpath.shared import leaked_segments
-
-        before = set(leaked_segments())
+        before = own_leaked_segments()
         with pytest.raises(ValueError, match="bogus"):
             route_all_pairs_parallel(
-                paper_figure1_network(), workers=2, heap="bogus", shared=True
+                paper_figure1_network(), workers=2, heap="bogus"
             )
-        assert set(leaked_segments()) - before == set()
+        assert own_leaked_segments() - before == set()
 
-    def test_share_failure_falls_back_to_pickled_path(self, monkeypatch):
+    def test_publish_failure_raises_and_leaves_no_segment(self, monkeypatch):
         import repro.shortestpath.shared as shared_mod
 
-        def explode(aux):
+        def explode(seq, typecode):
             raise OSError("no shm for you")
 
-        monkeypatch.setattr(shared_mod, "share_all_pairs_graph", explode)
-        net = paper_figure1_network()
-        result = route_all_pairs_parallel(net, workers=2, shared=True)
-        assert _as_comparable(result) == _as_comparable(
-            LiangShenRouter(net).route_all_pairs()
-        )
+        # Fails after the segment exists, while the arrays are copied in.
+        monkeypatch.setattr(shared_mod, "_as_bytes", explode)
+        before = own_leaked_segments()
+        with pytest.raises(OSError, match="no shm for you"):
+            route_all_pairs_parallel(paper_figure1_network(), workers=2)
+        assert own_leaked_segments() - before == set()

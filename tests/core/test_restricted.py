@@ -1,4 +1,4 @@
-"""Theorem 4 restricted fast path: fused builder identity, tree parity."""
+"""Theorem 4 restricted construction: fused builder identity, tree parity."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +12,12 @@ from repro.core.conversion import (
 )
 from repro.core.network import WDMNetwork
 from repro.core.routing import LiangShenRouter
+from repro.exceptions import NoPathError
 from repro.shortestpath.restricted import (
     RESTRICTED_K0_CROSSOVER,
     build_restricted_graph,
     restricted_applicable,
+    restricted_tree,
 )
 from repro.topology.generators import waxman_network
 from repro.topology.reference import paper_figure1_network
@@ -106,72 +108,59 @@ class TestApplicability:
         assert restricted_applicable(paper_figure1_network())
 
 
+def assert_trees_hop_identical(net):
+    """Every restricted tree matches the general ``G_all`` tree."""
+    general = LiangShenRouter(net)
+    aux = build_restricted_graph(net)
+    for source in net.nodes():
+        reference = general.route_tree(source)
+        tree, _run = restricted_tree(aux, source)
+        assert tree.keys() == reference.keys()
+        for target in reference:
+            assert tree[target].hops == reference[target].hops
+            assert tree[target].total_cost == reference[target].total_cost
+
+
 @pytest.mark.parametrize("name", sorted(NETWORKS))
 class TestTreeParity:
     def test_trees_hop_identical_to_general(self, name):
-        net = NETWORKS[name]()
-        general = LiangShenRouter(net, restricted=False)
-        fast = LiangShenRouter(net, restricted=True)
-        for source in net.nodes():
-            reference = general.route_tree(source)
-            tree = fast.route_tree(source)
-            assert tree.keys() == reference.keys()
-            for target in reference:
-                assert tree[target].hops == reference[target].hops
-                assert tree[target].total_cost == reference[target].total_cost
+        assert_trees_hop_identical(NETWORKS[name]())
 
     def test_single_pair_unaffected(self, name):
+        # Every single-pair overlay answer is the restricted tree's path.
         net = NETWORKS[name]()
-        general = LiangShenRouter(net, restricted=False)
-        fast = LiangShenRouter(net, restricted=True)
+        router = LiangShenRouter(net)
+        aux = build_restricted_graph(net)
         for source in net.nodes():
+            tree, _run = restricted_tree(aux, source)
             for target in net.nodes():
                 if source == target:
                     continue
                 try:
-                    a = general.route(source, target)
-                except Exception as exc:
-                    with pytest.raises(type(exc)):
-                        fast.route(source, target)
+                    a = router.route(source, target)
+                except NoPathError:
+                    assert target not in tree
                     continue
-                b = fast.route(source, target)
-                assert a.path.hops == b.path.hops
-                assert a.stats.settled == b.stats.settled
+                assert a.path.hops == tree[target].hops
+                assert a.cost == tree[target].total_cost
 
 
 class TestRouterPlumbing:
-    def test_auto_matches_applicability(self):
-        net = paper_figure1_network()
-        assert LiangShenRouter(net).restricted == restricted_applicable(net)
-
-    def test_forced_off(self):
-        assert LiangShenRouter(paper_figure1_network(), restricted=False).restricted is False
-
     def test_restricted_tree_avoids_g_all(self):
-        router = LiangShenRouter(paper_figure1_network(), restricted=True)
-        router.route_tree(1)
-        assert router._all_pairs is None  # terminal-free: no G_all build
+        # Terminal-free: the run covers exactly G''s nodes, none of
+        # G_all's 2n virtual terminals.
+        aux = build_restricted_graph(paper_figure1_network())
+        _tree, run = restricted_tree(aux, 1)
+        assert len(run.dist) == aux.graph.num_nodes
 
     def test_source_without_output_wavelengths(self):
         net = WDMNetwork(num_wavelengths=4)
         for v in range(3):
             net.add_node(v)
         net.add_link(0, 1, {0: 1.0})  # node 2 emits nothing
-        router = LiangShenRouter(net, restricted=True)
-        assert router.route_tree(2) == {}
-
-    def test_all_pairs_stays_on_g_all(self):
-        # Serial/parallel byte-parity requires the all-pairs sweep to keep
-        # using the shared G_all whatever the restricted setting.
-        net = paper_figure1_network()
-        fast = LiangShenRouter(net, restricted=True)
-        general = LiangShenRouter(net, restricted=False)
-        a = fast.route_all_pairs()
-        b = general.route_all_pairs()
-        assert a.stats.settled == b.stats.settled
-        assert {p: path.hops for p, path in a.paths.items()} == {
-            p: path.hops for p, path in b.paths.items()
-        }
+        tree, run = restricted_tree(build_restricted_graph(net), 2)
+        assert tree == {}
+        assert run.settled == 0
 
 
 @given(net=wdm_networks())
@@ -188,12 +177,4 @@ def test_fused_builder_identity_property(net):
 @given(net=wdm_networks(max_nodes=5))
 @settings(max_examples=30, deadline=None)
 def test_restricted_tree_parity_property(net):
-    general = LiangShenRouter(net, restricted=False)
-    fast = LiangShenRouter(net, restricted=True)
-    for source in net.nodes():
-        reference = general.route_tree(source)
-        tree = fast.route_tree(source)
-        assert tree.keys() == reference.keys()
-        for target in reference:
-            assert tree[target].hops == reference[target].hops
-            assert tree[target].total_cost == reference[target].total_cost
+    assert_trees_hop_identical(net)

@@ -424,3 +424,56 @@ def test_close_is_idempotent_and_unlinks(network):
     srv.close()
     srv.close()
     assert segment not in leaked_segments()
+
+
+class _YieldingCounter:
+    """Data descriptor that yields the GIL between a read and the write.
+
+    Widens the window of a read-modify-write so an increment made
+    outside a lock loses updates under concurrent connections.
+    """
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        value = obj.__dict__["requests_counter"]
+        time.sleep(0)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__["requests_counter"] = value
+
+
+class _YieldingCounterServer(RouterServer):
+    _requests = _YieldingCounter()
+
+
+def test_request_counter_loses_no_concurrent_increment():
+    threads_n, per_thread = 6, 100
+    errors = []
+    with _YieldingCounterServer(
+        paper_figure1_network(), workers=1, uds=""
+    ) as srv:
+
+        def hammer():
+            try:
+                with RouterClient(srv.address) as cli:
+                    for _ in range(per_thread):
+                        cli.stats()
+            except Exception as exc:  # noqa: BLE001 - reported via the list
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=hammer, daemon=True)
+            for _ in range(threads_n)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        with RouterClient(srv.address) as cli:
+            requests = cli.stats()["requests"]
+    assert errors == []
+    # The closing STATS call counts itself before it reads the counter.
+    assert requests == threads_n * per_thread + 1

@@ -355,9 +355,9 @@ class TestServerOracleFlag:
         out = capsys.readouterr().out
         assert "liang:server" in out
         assert "0 failure(s)" in out
-        from repro.shortestpath.shared import leaked_segments
+        from repro.shortestpath.shared import own_leaked_segments
 
-        assert leaked_segments() == []
+        assert own_leaked_segments() == set()
 
     def test_verify_with_live_server_oracle(self, tmp_path, capsys):
         assert main([

@@ -169,6 +169,31 @@ class TestApplicability:
         assert "brute-force" not in names
         assert "distributed:bellman-ford" not in names
 
+    def test_restricted_oracle_joins_only_the_restricted_regime(self):
+        (oracle,) = [o for o in default_oracles(0) if o.name == "liang:restricted"]
+        assert repr(oracle) == "Oracle('liang:restricted')"
+        full = WDMNetwork(num_wavelengths=2)
+        sparse = WDMNetwork(num_wavelengths=4)
+        for net in (full, sparse):
+            net.add_node(0)
+            net.add_node(1)
+        full.add_link(0, 1, {0: 1.0, 1: 1.0})  # k0 == k: not restricted
+        sparse.add_link(0, 1, {2: 1.0})
+        assert not oracle.applies(Scenario(network=full, queries=((0, 1),)))
+        assert oracle.applies(Scenario(network=sparse, queries=((0, 1),)))
+
+    def test_multicast_reference_is_reexported(self):
+        from repro.multicast.hierarchy import MulticastRequest
+        from repro.multicast.oracle import optimal_hierarchy_cost
+        from repro.topology.reference import paper_figure1_network
+        from repro.verify.oracles import multicast_oracle_cost
+
+        net = paper_figure1_network()
+        request = MulticastRequest(source=1, members=(6, 7))
+        assert multicast_oracle_cost(net, request) == optimal_hierarchy_cost(
+            net, request
+        )
+
 
 class TestFuzz:
     def test_budget_validation(self):
