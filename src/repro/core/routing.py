@@ -334,13 +334,14 @@ def decode_warm_targets(
     targets,
     tree: dict[NodeId, Semilightpath],
 ) -> None:
-    """Re-decode only *targets* of a warm tree, updating *tree* in place.
+    """Decode only *targets* of a warm run, updating *tree* in place.
 
-    After a fail-only delta, :meth:`WarmRun.repair` reports which
-    auxiliary nodes were damaged; only paths ending in a damaged sink
-    need re-decoding — the incremental cache keeps every other decoded
-    path, which is what keeps patched tree refreshes proportional to
-    the damage.  A target that became unreachable is removed.
+    Each target's sink must be settled (or the run exhausted).  The
+    incremental cache decodes a path only when a query first asks for
+    it, and after a fail-only delta forgets just the paths ending in a
+    sink :meth:`WarmRun.repair` reported damaged, so its work stays
+    proportional to the queries and the damage.  An unreachable target
+    is removed.
     """
     for target in targets:
         if target == source:

@@ -111,6 +111,10 @@ class Semilightpath:
         """Wavelength used on each hop, in order."""
         return [h.wavelength for h in self.hops]
 
+    def channels(self) -> list[tuple[NodeId, NodeId, int]]:
+        """The ``(tail, head, wavelength)`` channel each hop occupies."""
+        return [(h.tail, h.head, h.wavelength) for h in self.hops]
+
     def conversions(self) -> list[Conversion]:
         """Converter settings at intermediate nodes, in path order.
 

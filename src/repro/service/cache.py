@@ -8,23 +8,36 @@ changing.  :class:`EpochRouterCache` closes that gap with a
 monotonically increasing **epoch**:
 
 * Every mutation notification bumps the epoch (cheap — no rebuild).
-* Queries lazily reconcile: the first query after a bump rebuilds
-  ``G_all`` against the network provider's *current* view and prunes
-  cached trees.
+* Queries lazily reconcile: the first query after a bump brings
+  ``G_all`` up to date with the network provider's *current* view and
+  prunes cached trees.
 * Two invalidation granularities:
 
-  - :meth:`invalidate` — anything may have changed (channels released,
-    topology edited, costs re-priced).  All cached trees are dropped.
-  - :meth:`mark_channel_degraded` / :meth:`mark_path_reserved` —
-    channels were *removed* from the residual network (a reservation).
-    Removing resources can only raise optimal costs, so a cached tree
-    whose paths avoid every degraded channel is still optimal and is
-    **kept** across the epoch bump.  Only trees actually touching a
-    degraded channel are dropped.
+  - :meth:`invalidate` — anything may have changed (topology edited,
+    costs re-priced).  All cached trees are dropped.
+  - :meth:`mark_channel_degraded` / :meth:`mark_channels_reserved` /
+    :meth:`mark_path_reserved` — channels were *removed* from the
+    residual network (a reservation).  Removing resources can only raise
+    optimal costs, so a cached tree whose paths avoid every degraded
+    channel is still optimal and is **kept** across the epoch bump.
+    Only trees actually touching a degraded channel are dropped.
+    Releases (:meth:`mark_channels_released` /
+    :meth:`mark_path_released`) add resources back, which can improve
+    any route.
 
-The degradation rule is the load-bearing optimization for on-line
-provisioning: admissions far apart in the network leave most cached
-trees valid.
+In **incremental** mode ``G_all`` is built once and then patched: every
+fail and recover notification masks or unmasks CSR slots of the cached
+overlay in place (:class:`~repro.shortestpath.delta.DeltaOverlay`), and
+the cache remembers which channels are failed, so a later full rebuild
+— after :meth:`invalidate`, say — re-masks them and can never forget
+live occupancy.  That lets an on-line provisioner keep its pristine
+network as the factory and express every reservation and release as a
+patch.  Each source's entry is a resumable warm Dijkstra run
+(:class:`~repro.shortestpath.flat.WarmRun`) plus the paths decoded from
+it so far: a query resumes the run only until its target settles and
+decodes only that path, a fail-only patch repairs the run and forgets
+just the damaged paths, and a patch that restores anything drops the
+entries (freed resources can shorten any route).
 
 Thread safety: all public methods take an internal lock; the cache may
 be shared by the query engine's worker pool.
@@ -34,39 +47,40 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 from repro.core import routing
 from repro.core.auxiliary import KIND_SINK
-from repro.core.routing import (
-    LiangShenRouter,
-    decode_warm_targets,
-    decode_warm_tree,
-)
+from repro.core.network import WDMNetwork
+from repro.core.routing import LiangShenRouter, decode_warm_targets
 from repro.core.semilightpath import Semilightpath
 from repro.exceptions import NoPathError
 from repro.shortestpath.delta import DeltaOverlay
 from repro.shortestpath.flat import WarmRun
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.network import WDMNetwork
     from repro.service.metrics import MetricsRegistry
 
 __all__ = ["EpochRouterCache"]
 
 NodeId = Hashable
+#: One channel: (tail, head, wavelength).
+Channel = tuple[NodeId, NodeId, int]
 #: A degraded channel: (tail, head, wavelength); wavelength None = whole link.
 _DirtyKey = tuple[NodeId, NodeId, "int | None"]
 
 
-class _WarmTree:
-    """A cached tree's warm search state plus its not-yet-redecoded targets."""
+class _WarmEntry:
+    """One source's warm search plus the paths decoded from it so far."""
 
-    __slots__ = ("run", "dirty")
+    __slots__ = ("run", "paths", "repaired")
 
     def __init__(self, run: WarmRun) -> None:
         self.run = run
-        self.dirty: set[NodeId] = set()
+        self.paths: dict[NodeId, Semilightpath] = {}
+        #: Set by a repair that damaged the run; the next query that
+        #: resumes it counts one ``tree_patches``.
+        self.repaired = False
 
 
 class EpochRouterCache:
@@ -89,15 +103,17 @@ class EpochRouterCache:
         ``cache.tree_patches``) counters and a ``cache.epoch`` gauge.
     incremental:
         Opt-in delta-epoch maintenance (default off — the legacy
-        invalidation semantics are unchanged).  When on, fault and
-        recovery notifications queue patch ops; the next refresh masks or
-        unmasks the affected CSR slots of the cached ``G_all`` in place
-        (:class:`~repro.shortestpath.delta.DeltaOverlay`) instead of
-        rebuilding it, and cached trees are repaired via warm-started
-        Dijkstra (:class:`~repro.shortestpath.flat.WarmRun`) rather than
-        recomputed.  A full rebuild still happens when an event predates
-        the current overlay (returns ``None`` from the delta layer) or on
-        :meth:`invalidate`; it remains the correctness oracle.
+        invalidation semantics are unchanged).  When on, fault, recovery,
+        reservation and release notifications queue patch ops; the next
+        refresh masks or unmasks the affected CSR slots of the cached
+        ``G_all`` in place (:class:`~repro.shortestpath.delta.DeltaOverlay`)
+        instead of rebuilding it, and per-source entries are lazy warm
+        runs (see the module docstring).  Channels marked failed stay
+        masked across full rebuilds until they are marked recovered, so
+        the factory may return the pristine network.  A full rebuild
+        still happens when a recovery predates the current overlay (the
+        delta layer returns ``None``) or on :meth:`invalidate`; it
+        remains the correctness oracle.
 
     Example
     -------
@@ -129,16 +145,19 @@ class EpochRouterCache:
         self._network: "WDMNetwork | None" = None
         self._inner: LiangShenRouter | None = None
         self._aux = None
-        self._trees: dict[NodeId, dict[NodeId, Semilightpath]] = {}
+        # Per-source entries: full decoded trees (legacy mode) or
+        # _WarmEntry objects (incremental mode).
+        self._trees: dict[NodeId, "dict[NodeId, Semilightpath] | _WarmEntry"] = {}
         self._dirty: set[_DirtyKey] = set()
         self._full_dirty = True
         # Incremental mode: the delta overlay over the cached G_all, the
-        # queued fault/recovery patch ops (applied lazily at refresh,
-        # like the legacy dirty set), and per-source warm search state.
-        # Invariant while incremental: _warm.keys() == _trees.keys().
+        # queued patch ops as (DeltaOverlay method name, *args), applied
+        # lazily at refresh like the legacy dirty set, and the channels
+        # currently marked failed.  The last is replaced, never mutated,
+        # so route_rebuild can read it without the cache lock.
         self._delta: DeltaOverlay | None = None
         self._patch_ops: list[tuple] = []
-        self._warm: dict[NodeId, _WarmTree] = {}
+        self._failed: frozenset[Channel] = frozenset()
         # Counters mirrored into the registry (when one is attached) so
         # they are inspectable even without metrics.
         self.hits = 0
@@ -170,50 +189,105 @@ class EpochRouterCache:
 
     @property
     def cached_sources(self) -> int:
-        """Number of sources with a cached shortest-path tree."""
+        """Number of sources with a cached shortest-path tree or warm run."""
         with self._lock:
             return len(self._trees)
+
+    def _count(self, name: str, amount: int = 1) -> None:
+        """Add *amount* to counter *name* and its ``cache.*`` registry twin."""
+        setattr(self, name, getattr(self, name) + amount)
+        if self._metrics is not None and amount:
+            self._metrics.counter(f"cache.{name}").inc(amount)
 
     def _bump(self) -> None:
         self._epoch += 1
         if self._metrics is not None:
             self._metrics.gauge("cache.epoch").set(self._epoch)
 
+    def _invalidate_locked(self) -> None:
+        self._full_dirty = True
+        self._dirty.clear()
+        self._patch_ops.clear()
+
+    def _queue(self, *op) -> None:
+        """Queue a patch op; a pending full rebuild supersedes it."""
+        if not self._full_dirty:
+            self._patch_ops.append(op)
+
     def invalidate(self) -> None:
         """Full invalidation: the network may have changed arbitrarily.
 
         Cheap — only bumps the epoch and marks everything dirty; the
-        rebuild happens lazily on the next query.
+        rebuild happens lazily on the next query.  In incremental mode
+        the rebuild re-masks every channel still marked failed.
         """
         with self._lock:
-            self._full_dirty = True
-            self._dirty.clear()
-            self._patch_ops.clear()
+            self._invalidate_locked()
             self._bump()
+
+    def mark_channels_reserved(self, channels: Iterable[Channel]) -> None:
+        """Channels were removed from the network (one epoch bump).
+
+        Cached trees that avoid every removed channel survive the bump
+        (see module docstring for why that is safe).  In incremental
+        mode the channels are remembered as failed and queued as mask
+        patches; the next refresh masks their CSR slots in place and
+        repairs the warm runs instead of rebuilding ``G_all``.
+        """
+        channels = list(channels)
+        with self._lock:
+            if self._incremental:
+                self._failed = self._failed.union(channels)
+                for channel in channels:
+                    self._queue("fail_channel", *channel)
+            elif not self._full_dirty:
+                self._dirty.update(channels)
+            self._bump()
+
+    def mark_channels_released(self, channels: Iterable[Channel]) -> None:
+        """Channels came back into the network (one epoch bump).
+
+        Freed channels can improve arbitrary routes — without
+        incremental mode this is a full invalidation.  In incremental
+        mode they are queued as unmask patches: the ``O(k²n + km)``
+        overlay rebuild is skipped, and only the warm entries are
+        dropped (distances may decrease, which a warm run cannot
+        repair).
+        """
+        channels = list(channels)
+        with self._lock:
+            if self._incremental:
+                self._failed = self._failed.difference(channels)
+                for channel in channels:
+                    self._queue("recover_channel", *channel)
+            else:
+                self._invalidate_locked()
+            self._bump()
+
+    def mark_path_reserved(self, path: Semilightpath) -> None:
+        """Mark every channel a just-reserved path occupies as degraded."""
+        self.mark_channels_reserved(path.channels())
+
+    def mark_path_released(self, path: Semilightpath) -> None:
+        """Every channel a just-released path occupied is free again."""
+        self.mark_channels_released(path.channels())
 
     def mark_channel_degraded(
         self, tail: NodeId, head: NodeId, wavelength: int | None = None
     ) -> None:
         """A channel was removed (or its cost raised) on one link.
 
-        With ``wavelength=None`` the whole link is marked.  Cached trees
-        that avoid every degraded channel survive the epoch bump (see
-        module docstring for why that is safe).  In incremental mode the
-        event is queued as a patch op instead: the next refresh masks the
-        affected CSR slots in place and repairs warm trees rather than
-        rebuilding ``G_all``.
+        With ``wavelength=None`` the whole link is marked; one channel is
+        treated exactly like a one-channel reservation.
         """
+        if wavelength is not None:
+            self.mark_channels_reserved([(tail, head, wavelength)])
+            return
         with self._lock:
             if self._incremental:
-                if not self._full_dirty:
-                    if wavelength is None:
-                        self._patch_ops.append(("link_fail", tail, head))
-                    else:
-                        self._patch_ops.append(
-                            ("channel_fail", tail, head, wavelength)
-                        )
+                self._queue("fail_link", tail, head)
             elif not self._full_dirty:
-                self._dirty.add((tail, head, wavelength))
+                self._dirty.add((tail, head, None))
             self._bump()
 
     def mark_channel_recovered(
@@ -223,24 +297,18 @@ class EpochRouterCache:
 
         Recoveries add resources, which can improve arbitrary routes —
         without incremental mode this is a full invalidation (matching
-        the fault injector's historical behavior).  In incremental mode
-        the patched overlay unmasks the affected slots in place; only the
-        decoded trees are dropped (distances may decrease, so warm search
-        state cannot be repaired), while the ``O(k²n + km)`` overlay
-        rebuild is still skipped.
+        the fault injector's historical behavior); in incremental mode
+        the overlay unmasks the affected slots in place.  One channel is
+        treated exactly like a one-channel release.
         """
+        if wavelength is not None:
+            self.mark_channels_released([(tail, head, wavelength)])
+            return
         with self._lock:
             if self._incremental:
-                if not self._full_dirty:
-                    if wavelength is None:
-                        self._patch_ops.append(("link_recover", tail, head))
-                    else:
-                        self._patch_ops.append(
-                            ("channel_recover", tail, head, wavelength)
-                        )
+                self._queue("recover_link", tail, head)
             else:
-                self._full_dirty = True
-                self._dirty.clear()
+                self._invalidate_locked()
             self._bump()
 
     def mark_converter_failed(self, node: NodeId) -> None:
@@ -252,36 +320,18 @@ class EpochRouterCache:
         """
         with self._lock:
             if self._incremental:
-                if not self._full_dirty:
-                    self._patch_ops.append(("converter_fail", node))
+                self._queue("fail_converter", node)
             else:
-                self._full_dirty = True
-                self._dirty.clear()
+                self._invalidate_locked()
             self._bump()
 
     def mark_converter_recovered(self, node: NodeId) -> None:
         """The converter bank at *node* recovered."""
         with self._lock:
             if self._incremental:
-                if not self._full_dirty:
-                    self._patch_ops.append(("converter_recover", node))
+                self._queue("recover_converter", node)
             else:
-                self._full_dirty = True
-                self._dirty.clear()
-            self._bump()
-
-    def mark_path_reserved(self, path: Semilightpath) -> None:
-        """Mark every channel a just-reserved path occupies as degraded."""
-        with self._lock:
-            if self._incremental:
-                if not self._full_dirty:
-                    for hop in path.hops:
-                        self._patch_ops.append(
-                            ("channel_fail", hop.tail, hop.head, hop.wavelength)
-                        )
-            elif not self._full_dirty:
-                for hop in path.hops:
-                    self._dirty.add((hop.tail, hop.head, hop.wavelength))
+                self._invalidate_locked()
             self._bump()
 
     # -- rebuild -------------------------------------------------------------
@@ -295,14 +345,18 @@ class EpochRouterCache:
                     return True
         return False
 
+    def _drop_trees_locked(self) -> None:
+        self._count("trees_dropped", len(self._trees))
+        self._trees.clear()
+
     def _try_patch_locked(self) -> bool:
         """Apply the queued patch ops to the delta overlay.
 
         Returns True when every op was expressible as a patch; the
         overlay's CSR weights are then up to date with the current epoch.
-        Fail-only batches additionally repair every warm tree (marking
-        damaged targets for lazy re-decode); batches that restored any
-        edge drop the decoded trees — distances can decrease, which warm
+        Fail-only batches additionally repair every warm run and forget
+        the decoded paths whose sink was damaged; batches that restored
+        any edge drop the entries — distances can decrease, which warm
         state cannot express — but still keep the patched overlay.
 
         On False the caller must full-rebuild: some op predates this
@@ -313,177 +367,151 @@ class EpochRouterCache:
         ops, self._patch_ops = self._patch_ops, []
         masked: list[int] = []
         restored = False
-        for op in ops:
-            kind = op[0]
-            if kind == "channel_fail":
-                changed = delta.fail_channel(op[1], op[2], op[3])
-            elif kind == "link_fail":
-                changed = delta.fail_link(op[1], op[2])
-            elif kind == "converter_fail":
-                changed = delta.fail_converter(op[1])
-            elif kind == "channel_recover":
-                changed = delta.recover_channel(op[1], op[2], op[3])
-            elif kind == "link_recover":
-                changed = delta.recover_link(op[1], op[2])
-            else:
-                changed = delta.recover_converter(op[1])
+        for method, *args in ops:
+            changed = getattr(delta, method)(*args)
             if changed is None:
                 return False
-            if kind.endswith("_fail"):
+            if method.startswith("fail"):
                 masked.extend(changed)
             elif changed:
                 restored = True
         if restored:
-            dropped = len(self._trees)
-            self.trees_dropped += dropped
-            if self._metrics is not None and dropped:
-                self._metrics.counter("cache.trees_dropped").inc(dropped)
-            self._trees.clear()
-            self._warm.clear()
+            self._drop_trees_locked()
             return True
         if masked:
             decode = self._aux.decode
             pairs = delta.slot_pairs(masked)
-            for warm in self._warm.values():
-                for aid in warm.run.repair(pairs, delta.in_edges):
-                    aux_node = decode[aid]
-                    if aux_node.kind == KIND_SINK:
-                        warm.dirty.add(aux_node.node)
-        kept = len(self._trees)
-        self.trees_kept += kept
-        if self._metrics is not None and kept:
-            self._metrics.counter("cache.trees_kept").inc(kept)
+            for entry in self._trees.values():
+                affected = entry.run.repair(pairs, delta.in_edges)
+                if affected:
+                    entry.repaired = True
+                    for aid in affected:
+                        aux_node = decode[aid]
+                        if aux_node.kind == KIND_SINK:
+                            entry.paths.pop(aux_node.node, None)
+        self._count("trees_kept", len(self._trees))
         return True
 
     def _refresh_locked(self) -> None:
         """Bring ``G_all`` (and the tree cache) up to the current epoch."""
         if self._built_epoch == self._epoch and self._aux is not None:
             return
-        if (
-            self._incremental
-            and not self._full_dirty
-            and self._delta is not None
-            and self._aux is not None
-        ):
+        if self._incremental and not self._full_dirty:
             if self._try_patch_locked():
                 # Patched in place: same aux build, new degraded view.
                 # The snapshot is stale now but nothing on the query path
                 # reads it — :meth:`network_view` refetches lazily, so the
                 # fault-to-answer path never pays the O(network) copy.
                 self._network = None
-                self._dirty.clear()
                 self._built_epoch = self._epoch
-                self.patches += 1
-                if self._metrics is not None:
-                    self._metrics.counter("cache.patches").inc()
+                self._count("patches")
                 return
             self._full_dirty = True  # half-patched overlay: rebuild all
         if self._full_dirty:
-            self.trees_dropped += len(self._trees)
-            if self._metrics is not None and self._trees:
-                self._metrics.counter("cache.trees_dropped").inc(len(self._trees))
-            self._trees.clear()
+            self._drop_trees_locked()
         elif self._dirty:
-            survivors: dict[NodeId, dict[NodeId, Semilightpath]] = {}
-            dropped = 0
-            for source, tree in self._trees.items():
-                if self._tree_uses_dirty(tree):
-                    dropped += 1
-                else:
-                    survivors[source] = tree
-            self.trees_kept += len(survivors)
-            self.trees_dropped += dropped
-            if self._metrics is not None:
-                if survivors:
-                    self._metrics.counter("cache.trees_kept").inc(len(survivors))
-                if dropped:
-                    self._metrics.counter("cache.trees_dropped").inc(dropped)
+            survivors = {
+                source: tree
+                for source, tree in self._trees.items()
+                if not self._tree_uses_dirty(tree)
+            }
+            self._count("trees_kept", len(survivors))
+            self._count("trees_dropped", len(self._trees) - len(survivors))
             self._trees = survivors
-        self._network = self._factory()
-        self._inner = LiangShenRouter(self._network, heap=self._heap)
+        network = self._factory()
+        self._inner = LiangShenRouter(network, heap=self._heap)
         # The router caches G_all for its lifetime; one rebuild = one
         # construction, shared by every tree run until the next epoch.
         self._aux = self._inner.all_pairs_graph()
         if self._incremental:
             self._delta = DeltaOverlay(self._aux)
-            self._warm.clear()
+            # Re-failing a channel the factory already left out is a
+            # no-op, so this is safe for degraded-view factories too.
+            for channel in self._failed:
+                self._delta.fail_channel(*channel)
+        self._network = None if self._failed else network
         self._patch_ops.clear()
         self._dirty.clear()
         self._full_dirty = False
         self._built_epoch = self._epoch
-        self.rebuilds += 1
-        if self._metrics is not None:
-            self._metrics.counter("cache.rebuilds").inc()
+        self._count("rebuilds")
 
-    def _tree(self, source: NodeId) -> dict[NodeId, Semilightpath]:
+    def _tree_locked(self, source: NodeId) -> dict[NodeId, Semilightpath]:
+        """The full tree from *source* at the current epoch."""
         self._refresh_locked()
         if self._incremental:
-            return self._warm_tree_locked(source)
+            entry = self._entry_locked(source)
+            entry.run.run()
+            aux = self._aux
+            paths = entry.paths
+            missing = [target for target in aux.sink_ids if target not in paths]
+            decode_warm_targets(aux, source, entry.run, missing, paths)
+            return {
+                target: paths[target] for target in aux.sink_ids if target in paths
+            }
         tree = self._trees.get(source)
-        if tree is None:
-            self.misses += 1
-            if self._metrics is not None:
-                self._metrics.counter("cache.misses").inc()
-            if self._inner is None:
-                # _refresh_locked always installs a router; a None here means
-                # _tree ran outside the lock/refresh protocol.  A real
-                # exception so the invariant holds under ``python -O``.
-                raise ValueError("epoch cache queried before refresh built a router")
-            # Looked up on the module at call time, so a wrapper installed
-            # on ``routing.run_tree`` (span tracing) sees every tree build.
-            tree, run = routing.run_tree(
-                self._aux,
-                source,
-                heap=self._inner.heap,
-                scratch=self._inner._pool.get(self._aux.graph.num_nodes),
-            )
-            self._trees[source] = tree
-            if self._metrics is not None:
-                self._metrics.observe_query(
-                    _tree_stats(self._aux, run), prefix="cache.tree_build"
-                )
-        else:
-            self.hits += 1
-            if self._metrics is not None:
-                self._metrics.counter("cache.hits").inc()
-        return tree
-
-    def _warm_tree_locked(self, source: NodeId) -> dict[NodeId, Semilightpath]:
-        """Incremental-mode tree: warm-run backed, repaired across deltas.
-
-        A cached tree whose warm run was repaired re-runs the search —
-        which only re-settles the damaged region — and re-decodes only
-        the targets whose sink was damaged; everything else is served
-        as-is.  A miss starts a fresh warm run to exhaustion and keeps
-        it for future queries and repairs.
-        """
-        warm = self._warm.get(source)
-        if warm is not None:
-            tree = self._trees[source]
-            if warm.dirty:
-                warm.run.run()
-                decode_warm_targets(self._aux, source, warm.run, warm.dirty, tree)
-                warm.dirty.clear()
-                self.tree_patches += 1
-                if self._metrics is not None:
-                    self._metrics.counter("cache.tree_patches").inc()
-            self.hits += 1
-            if self._metrics is not None:
-                self._metrics.counter("cache.hits").inc()
+        if tree is not None:
+            self._count("hits")
             return tree
-        self.misses += 1
-        if self._metrics is not None:
-            self._metrics.counter("cache.misses").inc()
-        run = WarmRun(self._aux.graph, self._aux.source_ids[source])
-        run.run()
-        tree = decode_warm_tree(self._aux, source, run)
+        self._count("misses")
+        if self._inner is None:
+            # _refresh_locked always installs a router; a None here means
+            # the lock/refresh protocol was bypassed.  A real exception
+            # so the invariant holds under ``python -O``.
+            raise ValueError("epoch cache queried before refresh built a router")
+        # Looked up on the module at call time, so a wrapper installed
+        # on ``routing.run_tree`` (span tracing) sees every tree build.
+        tree, run = routing.run_tree(
+            self._aux,
+            source,
+            heap=self._inner.heap,
+            scratch=self._inner._pool.get(self._aux.graph.num_nodes),
+        )
         self._trees[source] = tree
-        self._warm[source] = _WarmTree(run)
         if self._metrics is not None:
             self._metrics.observe_query(
-                _tree_stats(self._aux, run.result()), prefix="cache.tree_build"
+                _tree_stats(self._aux, run), prefix="cache.tree_build"
             )
         return tree
+
+    def _entry_locked(self, source: NodeId) -> _WarmEntry:
+        """*source*'s warm entry (incremental mode), created on a miss."""
+        entry = self._trees.get(source)
+        if entry is None:
+            self._count("misses")
+            run = WarmRun(self._aux.graph, self._aux.source_ids[source])
+            entry = self._trees[source] = _WarmEntry(run)
+            return entry
+        self._count("hits")
+        if entry.repaired:
+            entry.repaired = False
+            self._count("tree_patches")
+        return entry
+
+    def _paths_locked(
+        self, source: NodeId, targets: "Iterable[NodeId]"
+    ) -> "list[Semilightpath | None]":
+        """Paths from *source* to each of *targets*, ``None`` if unreachable.
+
+        In incremental mode the warm run resumes only until the
+        requested sinks settle, and only their paths are decoded.
+        """
+        if not self._incremental:
+            tree = self._tree_locked(source)
+            return [tree.get(target) for target in targets]
+        self._refresh_locked()
+        entry = self._entry_locked(source)
+        aux = self._aux
+        paths = entry.paths
+        answers: list[Semilightpath | None] = []
+        for target in targets:
+            path = paths.get(target)
+            if path is None and target != source and target in aux.sink_ids:
+                entry.run.run(target=aux.sink_ids[target])
+                decode_warm_targets(aux, source, entry.run, (target,), paths)
+                path = paths.get(target)
+            answers.append(path)
+        return answers
 
     # -- queries -------------------------------------------------------------
 
@@ -500,15 +528,15 @@ class EpochRouterCache:
         """Like :meth:`route`, also returning the epoch the answer was
         computed on.
 
-        The epoch is read under the same lock that served the tree, so it
-        is exactly the ``built_epoch`` of the ``G_all`` behind the answer
-        — the serving layer's staleness flag and the chaos soak's
+        The epoch is read under the same lock that served the path, so
+        it is exactly the ``built_epoch`` of the ``G_all`` behind the
+        answer — the serving layer's staleness flag and the chaos soak's
         certificate check both key on it.
         """
         if source == target:
             raise ValueError("source and target must differ")
         with self._lock:
-            path = self._tree(source).get(target)
+            path = self._paths_locked(source, (target,))[0]
             epoch = self._built_epoch
         if path is None:
             raise NoPathError(source, target)
@@ -529,9 +557,9 @@ class EpochRouterCache:
         error, not an unreachability answer).
         """
         with self._lock:
-            tree = self._tree(source)
+            paths = self._paths_locked(source, targets)
             epoch = self._built_epoch
-            return [(tree.get(target), epoch) for target in targets]
+        return [(path, epoch) for path in paths]
 
     def route_rebuild(
         self, source: NodeId, target: NodeId
@@ -541,19 +569,21 @@ class EpochRouterCache:
         Runs on a *fresh* network snapshot under its own lock — never the
         cache lock, never the shared ``G'``/``G_all`` — so it stays
         available while the epoch cache is mid-invalidation or churning
-        through a fault storm.  The fallback router (and its cached
-        ``G_all``) is reused across calls at the same epoch instead of
-        reconstructing ``G_{s,t}`` per query; a stale epoch rebuilds it
-        from a new snapshot.  Answers are hop-for-hop what the Theorem-1
-        per-pair construction returns (see
+        through a fault storm.  The snapshot is the factory's network
+        minus every channel marked failed.  The fallback router (and its
+        cached ``G_all``) is reused across calls at the same epoch
+        instead of reconstructing ``G_{s,t}`` per query; a stale epoch
+        rebuilds it from a new snapshot.  Answers are hop-for-hop what
+        the Theorem-1 per-pair construction returns (see
         :meth:`~repro.core.routing.LiangShenRouter.route_via_all_pairs`).
         Returns the path together with the snapshot it was computed on
         (the caller's certificate check needs exactly that network).
         """
         epoch = self._epoch
+        failed = self._failed
         with self._fallback_lock:
             if self._fallback_router is None or self._fallback_epoch != epoch:
-                network = self._factory()
+                network = _without_channels(self._factory(), failed)
                 self._fallback_router = LiangShenRouter(network, heap=self._heap)
                 self._fallback_network = network
                 self._fallback_epoch = epoch
@@ -566,24 +596,33 @@ class EpochRouterCache:
         if source == target:
             return 0.0
         with self._lock:
-            path = self._tree(source).get(target)
+            path = self._paths_locked(source, (target,))[0]
         return math.inf if path is None else path.total_cost
 
     def tree(self, source: NodeId) -> dict[NodeId, Semilightpath]:
         """A copy of the full shortest-path tree from *source*."""
+        return self.tree_with_epoch(source)[0]
+
+    def tree_with_epoch(
+        self, source: NodeId
+    ) -> tuple[dict[NodeId, Semilightpath], int]:
+        """Like :meth:`tree`, also returning the ``built_epoch`` behind it,
+        read under the same lock (see :meth:`route_with_epoch`)."""
         with self._lock:
-            return dict(self._tree(source))
+            tree = dict(self._tree_locked(source))
+            return tree, self._built_epoch
 
     def network_view(self) -> "WDMNetwork":
         """The network snapshot matching the current cache entries.
 
+        That is the factory's network minus every channel marked failed.
         Patched refreshes drop the snapshot instead of eagerly re-copying
         the provider's network; it is refetched here on demand.
         """
         with self._lock:
             self._refresh_locked()
             if self._network is None:
-                self._network = self._factory()
+                self._network = _without_channels(self._factory(), self._failed)
             return self._network
 
     def counters(self) -> dict[str, int]:
@@ -599,6 +638,28 @@ class EpochRouterCache:
                 "trees_dropped": self.trees_dropped,
                 "epoch": self._epoch,
             }
+
+
+def _without_channels(
+    network: "WDMNetwork", channels: frozenset[Channel]
+) -> "WDMNetwork":
+    """*network* with *channels* removed (itself when there are none)."""
+    if not channels:
+        return network
+    view = WDMNetwork(network.num_wavelengths, network.default_conversion)
+    for node in network.nodes():
+        view.add_node(node, network.explicit_conversion(node))
+    for link in network.links():
+        view.add_link(
+            link.tail,
+            link.head,
+            {
+                w: c
+                for w, c in link.costs.items()
+                if (link.tail, link.head, w) not in channels
+            },
+        )
+    return view
 
 
 def _tree_stats(aux, run):

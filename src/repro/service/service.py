@@ -18,11 +18,14 @@ off a provisioner so admissions reuse cached trees::
     prov.attach_service(workers=4)
     conn = prov.establish(s, t)       # routed through the cache
 
-After each admission the provisioner notifies the service which channels
-were reserved; the cache keeps every tree that avoids them (reserving
-can only remove resources, so untouched trees stay optimal) and bumps
-the epoch for the rest.  Releases invalidate fully — freed channels can
-improve arbitrary routes.
+The provisioner's service runs the cache in incremental mode over the
+*pristine* network: ``G_all`` is built once, and after each admission
+or release the provisioner tells the service which channels changed
+hands.  A reservation masks those channels' ``G_all`` slots and repairs
+the cached warm runs (reserving only removes resources, so undamaged
+paths stay optimal); a release unmasks them and drops the warm runs
+(freed channels can improve any route).  Either is one patch and one
+epoch bump — neither rebuilds ``G_all``.
 
 Degraded-mode serving
 ---------------------
@@ -50,7 +53,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 from repro.core.semilightpath import Semilightpath
 from repro.exceptions import (
@@ -60,7 +63,7 @@ from repro.exceptions import (
     ServiceOverloadError,
     TransientBackendError,
 )
-from repro.service.cache import EpochRouterCache
+from repro.service.cache import Channel, EpochRouterCache
 from repro.service.engine import QueryEngine, QueryFuture
 from repro.service.metrics import MetricsRegistry
 
@@ -129,10 +132,13 @@ class RoutingService:
     last_good_limit:
         Bound on the last-good answer store (LRU-evicted).
     incremental:
-        Opt-in delta-epoch cache maintenance: fault/recovery
-        notifications patch the shared ``G_all`` overlay in place instead
-        of rebuilding it (see
-        :class:`~repro.service.cache.EpochRouterCache`).  Default off.
+        Delta-epoch cache maintenance: fault, recovery, reservation and
+        release notifications patch the shared ``G_all`` overlay in
+        place instead of rebuilding it, and each query resumes its
+        source's warm run only as far as its target (see
+        :class:`~repro.service.cache.EpochRouterCache`).  Default off;
+        :meth:`~repro.wdm.provisioning.SemilightpathProvisioner.attach_service`
+        turns it on.
 
     Example
     -------
@@ -305,13 +311,13 @@ class RoutingService:
         cache for every pair out of *source*.  Unreachable nodes are
         simply absent (no :class:`~repro.exceptions.NoPathError`; a
         one-to-all answer is partial by design).  Every returned path is
-        remembered for stale-serving, so a tree call also refreshes the
-        degraded-mode safety net.
+        remembered for stale-serving under the ``built_epoch`` the tree
+        was computed on, so a tree call also refreshes the degraded-mode
+        safety net.
         """
         start = time.monotonic()
         try:
-            tree = self.cache.tree(source)
-            epoch = self.cache.epoch
+            tree, epoch = self.cache.tree_with_epoch(source)
             for target, path in tree.items():
                 self._remember(source, target, path, epoch)
             return tree
@@ -337,8 +343,15 @@ class RoutingService:
 
     def notify_released(self, path: Semilightpath) -> None:
         """Channels along *path* were released (resources added back)."""
-        del path  # which channels improved does not help: invalidate fully
-        self.cache.invalidate()
+        self.cache.mark_path_released(path)
+
+    def notify_channels_reserved(self, channels: "Iterable[Channel]") -> None:
+        """``(tail, head, wavelength)`` *channels* were reserved at once."""
+        self.cache.mark_channels_reserved(channels)
+
+    def notify_channels_released(self, channels: "Iterable[Channel]") -> None:
+        """``(tail, head, wavelength)`` *channels* were released at once."""
+        self.cache.mark_channels_released(channels)
 
     def notify_link_degraded(
         self, tail: NodeId, head: NodeId, wavelength: int | None = None

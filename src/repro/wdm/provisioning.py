@@ -121,16 +121,23 @@ class SemilightpathProvisioner:
     ) -> "RoutingService":
         """Route admissions through an epoch-cached :class:`RoutingService`.
 
-        Without arguments a service is built over this provisioner's
-        residual network (``workers=0`` by default — admissions already
-        run on the caller's thread); pass ``workers=N``/``queue_limit``/
-        ``heap`` through *service_kwargs*, or hand in a pre-built
-        *service* whose network view is this provisioner's residual.
+        Without arguments a service is built for this provisioner
+        (``workers=0`` by default — admissions already run on the
+        caller's thread); pass ``workers=N``/``queue_limit``/``heap``
+        through *service_kwargs*, or hand in a pre-built *service* whose
+        network view is this provisioner's residual.
 
-        Once attached, :meth:`establish` serves routes from the cache and
-        notifies it after every reservation (per-channel degradation —
-        cached trees avoiding the reserved channels survive) and release
-        (full invalidation — freed channels can improve any route).
+        With ``packing="none"`` the built service runs its cache in
+        incremental mode over the pristine :attr:`network`: ``G_all`` is
+        built once, occupancy lives in the cache as masked channels, and
+        every reservation and release afterwards is one in-place patch
+        (one epoch bump) — a reservation repairs the cached warm runs,
+        a release drops them.  Channels already occupied at attach time
+        are masked up front.  Served admissions are hop for hop the ones
+        the plain provisioner makes.  Passing ``incremental=False``, or
+        any other packing (whose bias re-prices every residual cost),
+        serves from :meth:`residual_network` instead, rebuilding
+        ``G_all`` after each change.
         """
         if service is None:
             # Imported lazily: the service layer sits *above* wdm, and the
@@ -138,7 +145,15 @@ class SemilightpathProvisioner:
             from repro.service.service import RoutingService
 
             service_kwargs.setdefault("workers", 0)
-            service = RoutingService(self.residual_network, **service_kwargs)
+            patched = self.packing == "none" and service_kwargs.setdefault(
+                "incremental", True
+            )
+            service = RoutingService(
+                self.network if patched else self.residual_network,
+                **service_kwargs,
+            )
+            if patched and self.state.num_occupied:
+                service.notify_channels_reserved(self.state.occupied_channels())
         self._service = service
         return service
 
@@ -223,13 +238,7 @@ class SemilightpathProvisioner:
         # to the real network for auditability).
         path = Semilightpath(hops=path.hops, total_cost=path.evaluate_cost(self.network))
         self.state.reserve_path(path)
-        if self._service is not None:
-            if self.packing == "none":
-                self._service.notify_reserved(path)
-            else:
-                # Packing re-biases *every* residual cost after each
-                # admission, so per-channel degradation is not enough.
-                self._service.invalidate()
+        self._notify(path.channels(), reserved=True)
         connection = Connection(
             connection_id=next(self._ids),
             source=source,
@@ -247,11 +256,7 @@ class SemilightpathProvisioner:
         connection is tracked like any other.
         """
         self.state.reserve_path(path)
-        if self._service is not None:
-            if self.packing == "none":
-                self._service.notify_reserved(path)
-            else:
-                self._service.invalidate()
+        self._notify(path.channels(), reserved=True)
         connection = Connection(
             connection_id=next(self._ids),
             source=path.source,
@@ -269,8 +274,23 @@ class SemilightpathProvisioner:
             )
         self.state.release_path(connection.path)
         del self._active[connection.connection_id]
-        if self._service is not None:
-            self._service.notify_released(connection.path)
+        self._notify(connection.path.channels(), reserved=False)
+
+    def _notify(self, channels: list, reserved: bool) -> None:
+        """Tell the attached service that *channels* changed hands.
+
+        One notification — one epoch bump — per admission or release.
+        Packing re-biases *every* residual cost after each change, so
+        with packing on the service is invalidated instead.
+        """
+        if self._service is None:
+            return
+        if self.packing != "none":
+            self._service.invalidate()
+        elif reserved:
+            self._service.notify_channels_reserved(channels)
+        else:
+            self._service.notify_channels_released(channels)
 
     def try_establish(self, source: NodeId, target: NodeId) -> Connection | None:
         """Like :meth:`establish` but returns None on blocking."""
@@ -336,14 +356,7 @@ class SemilightpathProvisioner:
         )
         channels = sorted(hierarchy.channel_keys(), key=repr)
         self.state.reserve_channels(channels)
-        if self._service is not None:
-            if self.packing == "none":
-                # Per-channel degradation: cached trees not using the
-                # reserved channels survive (same rule as unicast).
-                for tail, head, wavelength in channels:
-                    self._service.notify_link_degraded(tail, head, wavelength)
-            else:
-                self._service.invalidate()
+        self._notify(channels, reserved=True)
         connection = MulticastConnection(
             connection_id=next(self._ids),
             source=source,
@@ -359,13 +372,10 @@ class SemilightpathProvisioner:
             raise ReservationError(
                 f"multicast connection {connection.connection_id} is not active"
             )
-        self.state.release_channels(
-            sorted(connection.hierarchy.channel_keys(), key=repr)
-        )
+        channels = sorted(connection.hierarchy.channel_keys(), key=repr)
+        self.state.release_channels(channels)
         del self._active_multicast[connection.connection_id]
-        if self._service is not None:
-            # Freed channels can improve any cached route: full refresh.
-            self._service.invalidate()
+        self._notify(channels, reserved=False)
 
     def try_establish_multicast(
         self,

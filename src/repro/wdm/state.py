@@ -119,12 +119,8 @@ class WavelengthState:
 
     def reserve_path(self, path: Semilightpath) -> None:
         """Reserve every channel a semilightpath uses."""
-        self.reserve_channels(
-            (hop.tail, hop.head, hop.wavelength) for hop in path.hops
-        )
+        self.reserve_channels(path.channels())
 
     def release_path(self, path: Semilightpath) -> None:
         """Release every channel a semilightpath uses."""
-        self.release_channels(
-            (hop.tail, hop.head, hop.wavelength) for hop in path.hops
-        )
+        self.release_channels(path.channels())

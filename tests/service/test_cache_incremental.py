@@ -183,3 +183,51 @@ class TestIncrementalInvalidation:
                     assert a is None, (source, target)
                 else:
                     assert a is not None and a.hops == b.hops, (source, target)
+
+
+class TestRememberedFailures:
+    """Over a pristine factory, failed channels live only in the cache."""
+
+    def test_invalidate_remasks_failed_channels(self, paper_net):
+        cache = EpochRouterCache(paper_net, incremental=True)
+        path = cache.route(1, 7)
+        cache.mark_path_reserved(path)
+        cache.invalidate()
+        detour = cache.route(1, 7)
+        assert not set(detour.channels()) & set(path.channels())
+        counters = cache.counters()
+        assert counters["rebuilds"] == 2
+        cache.mark_path_released(path)
+        assert cache.route(1, 7) == path
+        assert cache.counters()["rebuilds"] == 2  # the release was a patch
+
+    def test_release_is_one_epoch_bump(self, paper_net):
+        for incremental in (True, False):
+            cache = EpochRouterCache(paper_net, incremental=incremental)
+            path = cache.route(1, 7)
+            cache.mark_path_reserved(path)
+            cache.mark_path_released(path)
+            assert cache.epoch == 2
+            assert cache.route(1, 7) == path
+
+    def test_partial_queries_then_tree_match_fresh(self, paper_net):
+        """Targeted resumes, a repair of the partial runs, more targeted
+        resumes, then full trees: all equal a fresh router's answers."""
+        injector = FaultInjector(paper_net)
+        cache = EpochRouterCache(paper_net, incremental=True)
+        reserved = cache.route(1, 7)
+        cache.route(1, 2)
+        cache.route(4, 6)
+        cache.mark_path_reserved(reserved)
+        for tail, head, wavelength in reserved.channels():
+            injector.apply(
+                FaultEvent(
+                    0.5, "channel_fail", tail=tail, head=head, wavelength=wavelength
+                )
+            )
+        nodes = paper_net.nodes()
+        assert_matches_fresh(cache, injector, [(1, 4), (4, 7), (1, 7)])
+        fresh = EpochRouterCache(injector.network_view())
+        for source in nodes:
+            assert cache.tree(source) == fresh.tree(source)
+        assert cache.tree_with_epoch(1)[1] == cache.built_epoch == 1

@@ -12,8 +12,11 @@ for.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+
+import pytest
 
 from repro.core.network import WDMNetwork
 from repro.exceptions import NoPathError
@@ -107,3 +110,122 @@ class TestConcurrentInvalidation:
         assert any(victim in chans for _, chans in answers if _ < marked) or any(
             epoch < marked for epoch, _ in answers
         )
+
+
+class _YieldingLock:
+    """Re-entrant lock that yields the GIL right after every release.
+
+    Widens the window between a cache call returning and its caller's
+    next read, where a notification from another thread can land.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+
+    def __enter__(self) -> "_YieldingLock":
+        self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
+        time.sleep(0)
+
+
+class TestServedEpochStamps:
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_answers_carry_the_epoch_they_were_built_at(self, paper_net, incremental):
+        """Every answer is stamped with the ``built_epoch`` of the state
+        it was computed on — for ``route_tree`` too, never an epoch read
+        after the cache lock was released — while a writer flips a
+        channel on the optimal path and worker threads serve routes."""
+        from repro.service.service import RoutingService
+
+        hop = EpochRouterCache(paper_net).route(1, 7).hops[0]
+        victim = (hop.tail, hop.head, hop.wavelength)
+        dark: set[tuple] = set()
+
+        def factory() -> WDMNetwork:
+            view = WDMNetwork(paper_net.num_wavelengths, paper_net.default_conversion)
+            for node in paper_net.nodes():
+                view.add_node(node, paper_net.explicit_conversion(node))
+            for link in paper_net.links():
+                view.add_link(
+                    link.tail,
+                    link.head,
+                    {
+                        w: c
+                        for w, c in link.costs.items()
+                        if (link.tail, link.head, w) not in dark
+                    },
+                )
+            return view
+
+        service = RoutingService(factory, workers=3, incremental=incremental)
+        lock = service.cache._lock = _YieldingLock()
+        flips = 300
+        stamped: list[tuple] = []
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def writer() -> None:
+            # The victim is dark exactly at odd epochs: each flip changes
+            # the factory's world and bumps the epoch under the cache lock.
+            try:
+                for _ in range(flips):
+                    with lock:
+                        if victim in dark:
+                            dark.discard(victim)
+                            service.notify_link_recovered(*victim)
+                        else:
+                            dark.add(victim)
+                            service.notify_link_degraded(*victim)
+                    time.sleep(0)
+            except BaseException as exc:  # pragma: no cover - defensive
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def tree_reader() -> None:
+            try:
+                while not done.is_set():
+                    for target in service.route_tree(1):
+                        stamped.append(service._last_good[(1, target)])
+            except BaseException as exc:  # pragma: no cover - defensive
+                errors.append(exc)
+
+        def route_reader() -> None:
+            try:
+                while not done.is_set():
+                    try:
+                        stamped.append(
+                            service.engine.route_with_epoch(1, 7, timeout=30.0)
+                        )
+                    except NoPathError:
+                        pass
+            except BaseException as exc:  # pragma: no cover - defensive
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=target)
+            for target in (writer, tree_reader, route_reader, route_reader)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert not any(thread.is_alive() for thread in threads)
+
+        assert not errors, errors
+        assert any(victim in path.channels() for path, _ in stamped)
+        for path, epoch in stamped:
+            if epoch % 2:
+                assert victim not in path.channels(), (
+                    f"a path through the dark channel {victim} was "
+                    f"stamped with epoch {epoch}"
+                )

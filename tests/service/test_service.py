@@ -8,8 +8,11 @@ import pytest
 from repro.core.routing import LiangShenRouter
 from repro.exceptions import NoPathError, ServiceOverloadError
 from repro.service import EpochRouterCache, RoutingService
+from repro.topology.generators import degree_bounded_network
 from repro.topology.reference import nsfnet_network
 from repro.wdm.provisioning import SemilightpathProvisioner
+from repro.wdm.simulation import DynamicSimulation
+from repro.wdm.traffic import TrafficGenerator
 
 
 class TestFacade:
@@ -168,3 +171,132 @@ class TestProvisionerWiring:
         second = provisioner.establish("a", "c")  # forced onto direct link
         assert second.path.total_cost == 4.0
         assert provisioner.try_establish("a", "c") is None  # now blocked
+
+
+class _Recording:
+    """Provisioner wrapper that keeps every admission's hops, in order."""
+
+    def __init__(self, provisioner):
+        self.provisioner = provisioner
+        self.outcomes = []
+
+    def try_establish(self, source, target):
+        connection = self.provisioner.try_establish(source, target)
+        self.outcomes.append(None if connection is None else connection.path.hops)
+        return connection
+
+    def teardown(self, connection):
+        self.provisioner.teardown(connection)
+
+
+class TestPatchedProvisioning:
+    """``attach_service()`` with ``packing="none"``: one ``G_all``, with
+    reservations and releases as overlay patches."""
+
+    def test_trace_is_hop_identical_and_builds_g_all_once(self):
+        net = degree_bounded_network(32, 4, seed=7)
+        requests = TrafficGenerator(net.nodes(), 40.0, 1.0, seed=1998).generate(400)
+        plain = _Recording(SemilightpathProvisioner(net))
+        served_provisioner = SemilightpathProvisioner(net)
+        service = served_provisioner.attach_service()
+        served = _Recording(served_provisioner)
+        DynamicSimulation(plain).run(requests)
+        DynamicSimulation(served).run(requests)
+        assert served.outcomes == plain.outcomes
+        assert service.cache.counters()["rebuilds"] == 1
+
+    def test_mixed_unicast_multicast_trace_matches_plain(self):
+        net = nsfnet_network(num_wavelengths=4, seed=1)
+        nodes = net.nodes()
+        plain = SemilightpathProvisioner(net)
+        served = SemilightpathProvisioner(net)
+        service = served.attach_service()
+        rng = random.Random(11)
+        live: list[tuple[str, object, object]] = []
+        mutations = 0
+        seen = set()
+        for _ in range(160):
+            roll = rng.random()
+            if live and roll < 0.35:
+                kind, a, b = live.pop(rng.randrange(len(live)))
+                if kind == "unicast":
+                    plain.teardown(a)
+                    served.teardown(b)
+                else:
+                    plain.teardown_multicast(a)
+                    served.teardown_multicast(b)
+                seen.add(f"{kind} release")
+                mutations += 1
+            elif roll < 0.75:
+                source, target = rng.sample(nodes, 2)
+                a = plain.try_establish(source, target)
+                b = served.try_establish(source, target)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert b.path.hops == a.path.hops
+                    assert b.path.total_cost == a.path.total_cost
+                    live.append(("unicast", a, b))
+                    seen.add("unicast admission")
+                    mutations += 1
+            else:
+                source, *members = rng.sample(nodes, 4)
+                a = plain.try_establish_multicast(source, members)
+                b = served.try_establish_multicast(source, members)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert b.hierarchy.channel_keys() == a.hierarchy.channel_keys()
+                    live.append(("multicast", a, b))
+                    seen.add("multicast admission")
+                    mutations += 1
+            assert service.epoch == mutations  # one bump per admission/release
+        assert len(seen) == 4  # both kinds admitted and released
+        assert service.cache.counters()["rebuilds"] == 1
+
+    def test_release_is_a_patch_not_a_rebuild(self, paper_net):
+        provisioner = SemilightpathProvisioner(paper_net)
+        service = provisioner.attach_service()
+        baseline = service.route(1, 7)
+        connection = provisioner.establish(1, 7)
+        detour = service.route(1, 7)
+        assert detour.hops != baseline.hops
+        provisioner.teardown(connection)
+        restored = service.route(1, 7)
+        assert restored == baseline
+        counters = service.cache.counters()
+        assert counters["rebuilds"] == 1
+        assert counters["patches"] == 2
+
+    def test_attach_after_admissions_masks_live_occupancy(self):
+        net = nsfnet_network(num_wavelengths=4, seed=1)
+        rng = random.Random(5)
+        nodes = net.nodes()
+        provisioner = SemilightpathProvisioner(net)
+        for _ in range(12):
+            provisioner.try_establish(*rng.sample(nodes, 2))
+        assert provisioner.state.num_occupied
+        service = provisioner.attach_service()
+        assert service.epoch == 1  # the live occupancy, masked in one bump
+        cold = EpochRouterCache(provisioner.residual_network())
+        for source in nodes:
+            assert service.cache.tree(source) == cold.tree(source)
+
+    def test_fallback_snapshot_excludes_reserved_channels(self, paper_net):
+        provisioner = SemilightpathProvisioner(paper_net)
+        service = provisioner.attach_service()
+        connection = provisioner.establish(1, 7)
+        path, snapshot = service.cache.route_rebuild(1, 7)
+        for tail, head, wavelength in connection.path.channels():
+            assert wavelength not in snapshot.link(tail, head).costs
+        path.validate(provisioner.residual_network())
+        assert service.cache.network_view().link(1, 2).costs == (
+            provisioner.residual_network().link(1, 2).costs
+        )
+
+    def test_explicit_non_incremental_serves_the_residual(self, paper_net):
+        provisioner = SemilightpathProvisioner(paper_net)
+        service = provisioner.attach_service(incremental=False)
+        provisioner.establish(1, 7)
+        residual = provisioner.residual_network()
+        assert service.route(1, 7).total_cost == pytest.approx(
+            LiangShenRouter(residual).route(1, 7).cost
+        )

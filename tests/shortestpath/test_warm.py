@@ -210,3 +210,47 @@ class TestRepair:
             assert_matches_cold(warm, g, 0)
         assert warm.dist[3] == INF
         assert warm.repairs == 2
+
+
+def assert_path_matches_cold(warm, graph, source, target):
+    """*target*'s distance and tree path equal a cold run's."""
+    cold = flat_dijkstra(graph, source)
+    assert warm.dist[target] == cold.dist[target]
+    node, cold_node = target, target
+    while node != -1 or cold_node != -1:
+        assert node == cold_node
+        node, cold_node = warm.parent[node], cold.parent[cold_node]
+
+
+@pytest.mark.parametrize("trial", range(40))
+def test_partial_run_repair_matches_cold_kernel(trial):
+    """Resume to a target, mask, repair, resume to other targets, then
+    exhaust: every answer equals the cold kernel on the masked graph."""
+    rng = random.Random(2000 + trial)
+    g = random_graph(trial)
+    n = g.num_nodes
+    warm = WarmRun(g, 0)
+    first = rng.randrange(n)
+    warm.run(target=first)
+    assert_path_matches_cold(warm, g, 0, first)
+    offsets, heads, weights, _ = g.csr()
+    for _round in range(2):
+        finite = [
+            (u, i)
+            for u in range(n)
+            for i in range(offsets[u], offsets[u + 1])
+            if weights[i] != INF
+        ]
+        masked = []
+        for u, i in rng.sample(finite, min(3, len(finite))):
+            weights[i] = INF
+            masked.append((u, heads[i]))
+        warm.repair(masked, reverse_adjacency(g))
+        for target in rng.sample(range(n), min(3, n)):
+            warm.run(target=target)
+            assert_path_matches_cold(warm, g, 0, target)
+        group = rng.sample(range(n), min(4, n))
+        hit = warm.run(targets=group)
+        assert hit == flat_dijkstra(g, 0, targets=group).stopped_at
+    warm.run()
+    assert_matches_cold(warm, g, 0)
