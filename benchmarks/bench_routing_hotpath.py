@@ -21,8 +21,8 @@ It measures four things and writes ``BENCH_routing.json``:
   to the machine's CPU count (a 1-CPU machine cannot show a parallel
   win; the numbers say so honestly).
 * **Fault churn** — an alternating degrade/recover + query stream served
-  by two epoch caches: full invalidation (every fault rebuilds
-  ``G_all``) against incremental delta-epoch patching (CSR masking +
+  by two epoch caches: one invalidated after every fault (every fault
+  rebuilds ``G_all``) against one left to patch in place (CSR masking +
   warm-run repair).  Both sides answer the identical stream; answers
   are compared hop-for-hop and a sample is certificate-checked against
   the degraded network of the moment.
@@ -345,15 +345,18 @@ def _churn_schedule(net, events: int, queries_per_event: int):
     return schedule
 
 
-def _run_churn(net, schedule, incremental: bool, certificate_every: int = 0):
-    """Replay *schedule* through one cache configuration.
+def _run_churn(net, schedule, rebuild: bool, certificate_every: int = 0):
+    """Replay *schedule* through one epoch cache.
 
-    Returns the answers (for cross-checking), the cache counters, the
-    total churn wall time, the average fault-to-first-answer latency,
-    and any certificate violations found on the sampled answers.
+    With *rebuild* the cache is invalidated after every fault, so each
+    fault costs a full ``G_all`` rebuild; otherwise it is patched in
+    place.  Returns the answers (for cross-checking), the cache
+    counters, the total churn wall time, the average
+    fault-to-first-answer latency, and any certificate violations found
+    on the sampled answers.
     """
     injector = FaultInjector(net)
-    cache = EpochRouterCache(injector.network_view, incremental=incremental)
+    cache = EpochRouterCache(injector.network_view)
     first = schedule[0][2][0]
     try:
         cache.route(*first)  # initial build is not churn; keep it untimed
@@ -371,6 +374,8 @@ def _run_churn(net, schedule, incremental: bool, certificate_every: int = 0):
             cache.mark_channel_degraded(tail, head, w)
         else:
             cache.mark_channel_recovered(tail, head, w)
+        if rebuild:
+            cache.invalidate()
         for j, (s, t) in enumerate(queries):
             try:
                 path = cache.route(s, t)
@@ -409,7 +414,7 @@ def bench_fault_churn(
     """Full-invalidation vs delta-patched serving on one churn stream."""
     schedule = _churn_schedule(net, events, queries_per_event)
     full_answers, full_counters, t_full, t_full_first, _, errs_full = _run_churn(
-        net, schedule, incremental=False
+        net, schedule, rebuild=True
     )
     (
         delta_answers,
@@ -418,7 +423,7 @@ def bench_fault_churn(
         t_delta_first,
         certs,
         errs_delta,
-    ) = _run_churn(net, schedule, incremental=True, certificate_every=5)
+    ) = _run_churn(net, schedule, rebuild=False, certificate_every=5)
 
     errors = errs_full + errs_delta
     for i, (full, delta) in enumerate(zip(full_answers, delta_answers)):

@@ -337,8 +337,8 @@ def decode_warm_targets(
     """Decode only *targets* of a warm run, updating *tree* in place.
 
     Each target's sink must be settled (or the run exhausted).  The
-    incremental cache decodes a path only when a query first asks for
-    it, and after a fail-only delta forgets just the paths ending in a
+    epoch cache decodes a path only when a query first asks for it,
+    and after a fail-only delta forgets just the paths ending in a
     sink :meth:`WarmRun.repair` reported damaged, so its work stays
     proportional to the queries and the damage.  An unreachable target
     is removed.

@@ -241,11 +241,9 @@ class FaultInjector:
         """Drive the attached service's epoch machinery for *event*.
 
         Every network-resource event maps to its own fine-grained
-        notification so caches that can patch in place (incremental
-        mode) see exactly which resource changed.  Against a
-        non-incremental cache the recovery/converter notifications
-        degrade to the historical full invalidation.  Fiber events cover
-        both directions — the injector fails fibers, not directed links.
+        notification, so the epoch cache patches exactly the resource
+        that changed.  Fiber events cover both directions — the injector
+        fails fibers, not directed links.
         """
         service = self._service
         if service is None:

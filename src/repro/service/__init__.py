@@ -2,17 +2,17 @@
 
 The serving subsystem for the ROADMAP's production-scale goal: instead of
 rebuilding the Liang–Shen auxiliary graph per query, a long-lived
-:class:`RoutingService` memoizes ``G_all`` and per-source shortest-path
-trees behind a monotonically increasing **network epoch**, executes
-queries on a worker pool with backpressure and deadlines, and reports
-cache/queue/latency metrics.
+:class:`RoutingService` memoizes ``G_all`` and per-source warm
+shortest-path runs behind a monotonically increasing **network epoch**,
+executes queries on a worker pool with backpressure and deadlines, and
+reports cache/queue/latency metrics.
 
 Layers (see ``docs/service.md``):
 
 * :mod:`repro.service.metrics` — counters, gauges, histograms, registry.
-* :mod:`repro.service.cache` — :class:`EpochRouterCache`, the
-  epoch-versioned ``G_all`` / tree cache with full and per-channel
-  invalidation.
+* :mod:`repro.service.cache` — :class:`EpochRouterCache`, one
+  ``G_all`` patched in place per failed or recovered resource, with
+  per-source warm runs and explicit full invalidation.
 * :mod:`repro.service.engine` — :class:`QueryEngine`, the bounded-queue
   worker pool with same-source coalescing.
 * :mod:`repro.service.service` — :class:`RoutingService`, the facade the

@@ -1,4 +1,4 @@
-"""Epoch-versioned memoization of ``G_all`` and per-source trees.
+"""Epoch-versioned memoization of one patched ``G_all`` and per-source runs.
 
 :class:`~repro.core.batch.BatchRouter` amortizes ``G_all`` over many
 queries but is frozen to one network — its documented contract is "if
@@ -8,36 +8,32 @@ changing.  :class:`EpochRouterCache` closes that gap with a
 monotonically increasing **epoch**:
 
 * Every mutation notification bumps the epoch (cheap — no rebuild).
-* Queries lazily reconcile: the first query after a bump brings
-  ``G_all`` up to date with the network provider's *current* view and
-  prunes cached trees.
-* Two invalidation granularities:
+* Queries lazily reconcile: the first query after a bump brings the
+  cached ``G_all`` up to date with the current epoch.
 
-  - :meth:`invalidate` — anything may have changed (topology edited,
-    costs re-priced).  All cached trees are dropped.
-  - :meth:`mark_channel_degraded` / :meth:`mark_channels_reserved` /
-    :meth:`mark_path_reserved` — channels were *removed* from the
-    residual network (a reservation).  Removing resources can only raise
-    optimal costs, so a cached tree whose paths avoid every degraded
-    channel is still optimal and is **kept** across the epoch bump.
-    Only trees actually touching a degraded channel are dropped.
-    Releases (:meth:`mark_channels_released` /
-    :meth:`mark_path_released`) add resources back, which can improve
-    any route.
+``G_all`` is built once and then patched.  Every fail and recover
+notification — a reserved or released channel, a degraded or recovered
+link, a failed or recovered converter — queues a mask or unmask of the
+CSR slots that resource induces, and the next refresh applies the queue
+to the cached overlay in place
+(:class:`~repro.shortestpath.delta.DeltaOverlay`).  The cache remembers
+every resource marked failed and not yet recovered, so a full rebuild
+re-masks them all and can never forget live occupancy or a live fault.
+That lets an on-line provisioner keep its pristine network as the
+factory and express every reservation and release as a patch.
 
-In **incremental** mode ``G_all`` is built once and then patched: every
-fail and recover notification masks or unmasks CSR slots of the cached
-overlay in place (:class:`~repro.shortestpath.delta.DeltaOverlay`), and
-the cache remembers which channels are failed, so a later full rebuild
-— after :meth:`invalidate`, say — re-masks them and can never forget
-live occupancy.  That lets an on-line provisioner keep its pristine
-network as the factory and express every reservation and release as a
-patch.  Each source's entry is a resumable warm Dijkstra run
+Each source's entry is a resumable warm Dijkstra run
 (:class:`~repro.shortestpath.flat.WarmRun`) plus the paths decoded from
 it so far: a query resumes the run only until its target settles and
-decodes only that path, a fail-only patch repairs the run and forgets
-just the damaged paths, and a patch that restores anything drops the
+decodes only that path.  A fail-only patch repairs the runs and forgets
+just the damaged paths (removing resources can only raise costs, so an
+undamaged path stays optimal); a patch that restores anything drops the
 entries (freed resources can shorten any route).
+
+A full rebuild happens on the first query, after :meth:`invalidate`
+(the factory's network may have changed arbitrarily — topology edited,
+costs re-priced), and when a recovery names a resource the current
+overlay never saw (the delta layer cannot add structure).
 
 Thread safety: all public methods take an internal lock; the cache may
 be shared by the query engine's worker pool.
@@ -51,6 +47,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 from repro.core import routing
 from repro.core.auxiliary import KIND_SINK
+from repro.core.conversion import NoConversion
 from repro.core.network import WDMNetwork
 from repro.core.routing import LiangShenRouter, decode_warm_targets
 from repro.core.semilightpath import Semilightpath
@@ -66,8 +63,10 @@ __all__ = ["EpochRouterCache"]
 NodeId = Hashable
 #: One channel: (tail, head, wavelength).
 Channel = tuple[NodeId, NodeId, int]
-#: A degraded channel: (tail, head, wavelength); wavelength None = whole link.
-_DirtyKey = tuple[NodeId, NodeId, "int | None"]
+#: A network resource: ("channel", tail, head, wavelength),
+#: ("link", tail, head) for one directed link, or ("converter", node).
+#: The kind names the :class:`DeltaOverlay` ``fail_*``/``recover_*`` op.
+Resource = tuple
 
 
 class _WarmEntry:
@@ -92,28 +91,16 @@ class EpochRouterCache:
         Either a :class:`~repro.core.network.WDMNetwork` (static serving)
         or a zero-argument callable returning the current network view
         (e.g. a provisioner's ``residual_network`` — called once per
-        rebuild, never per query).
-    heap:
-        Dijkstra heap choice, forwarded to :class:`LiangShenRouter`.
+        rebuild, never per query).  Resources marked failed stay masked
+        across rebuilds until they are marked recovered, so the factory
+        may return the pristine network.
     metrics:
         Optional :class:`~repro.service.metrics.MetricsRegistry`; when
         given, the cache maintains ``cache.hits`` / ``cache.misses`` /
-        ``cache.rebuilds`` / ``cache.trees_kept`` / ``cache.trees_dropped``
-        (plus, in incremental mode, ``cache.patches`` /
-        ``cache.tree_patches``) counters and a ``cache.epoch`` gauge.
-    incremental:
-        Opt-in delta-epoch maintenance (default off — the legacy
-        invalidation semantics are unchanged).  When on, fault, recovery,
-        reservation and release notifications queue patch ops; the next
-        refresh masks or unmasks the affected CSR slots of the cached
-        ``G_all`` in place (:class:`~repro.shortestpath.delta.DeltaOverlay`)
-        instead of rebuilding it, and per-source entries are lazy warm
-        runs (see the module docstring).  Channels marked failed stay
-        masked across full rebuilds until they are marked recovered, so
-        the factory may return the pristine network.  A full rebuild
-        still happens when a recovery predates the current overlay (the
-        delta layer returns ``None``) or on :meth:`invalidate`; it
-        remains the correctness oracle.
+        ``cache.rebuilds`` / ``cache.patches`` / ``cache.tree_patches`` /
+        ``cache.trees_kept`` / ``cache.trees_dropped`` counters, the
+        search work of its warm runs as ``cache.search.settled`` /
+        ``cache.search.relaxations``, and a ``cache.epoch`` gauge.
 
     Example
     -------
@@ -129,35 +116,26 @@ class EpochRouterCache:
     def __init__(
         self,
         network: "WDMNetwork | Callable[[], WDMNetwork]",
-        heap: str = "flat",
         metrics: "MetricsRegistry | None" = None,
-        incremental: bool = False,
     ) -> None:
         self._factory: Callable[[], "WDMNetwork"] = (
             network if callable(network) else (lambda: network)
         )
-        self._heap = heap
         self._metrics = metrics
-        self._incremental = bool(incremental)
         self._lock = threading.RLock()
         self._epoch = 0
         self._built_epoch = -1  # nothing built yet
         self._network: "WDMNetwork | None" = None
-        self._inner: LiangShenRouter | None = None
         self._aux = None
-        # Per-source entries: full decoded trees (legacy mode) or
-        # _WarmEntry objects (incremental mode).
-        self._trees: dict[NodeId, "dict[NodeId, Semilightpath] | _WarmEntry"] = {}
-        self._dirty: set[_DirtyKey] = set()
-        self._full_dirty = True
-        # Incremental mode: the delta overlay over the cached G_all, the
-        # queued patch ops as (DeltaOverlay method name, *args), applied
-        # lazily at refresh like the legacy dirty set, and the channels
-        # currently marked failed.  The last is replaced, never mutated,
-        # so route_rebuild can read it without the cache lock.
         self._delta: DeltaOverlay | None = None
+        self._trees: dict[NodeId, _WarmEntry] = {}
+        self._full_dirty = True
+        # Patch ops queued since the last refresh, as (DeltaOverlay
+        # method name, *args), and every resource currently marked
+        # failed.  The latter is replaced, never mutated, so
+        # route_rebuild can read it without the cache lock.
         self._patch_ops: list[tuple] = []
-        self._failed: frozenset[Channel] = frozenset()
+        self._failed: frozenset[Resource] = frozenset()
         # Counters mirrored into the registry (when one is attached) so
         # they are inspectable even without metrics.
         self.hits = 0
@@ -189,7 +167,7 @@ class EpochRouterCache:
 
     @property
     def cached_sources(self) -> int:
-        """Number of sources with a cached shortest-path tree or warm run."""
+        """Number of sources with a cached warm run."""
         with self._lock:
             return len(self._trees)
 
@@ -204,68 +182,55 @@ class EpochRouterCache:
         if self._metrics is not None:
             self._metrics.gauge("cache.epoch").set(self._epoch)
 
-    def _invalidate_locked(self) -> None:
-        self._full_dirty = True
-        self._dirty.clear()
-        self._patch_ops.clear()
-
-    def _queue(self, *op) -> None:
-        """Queue a patch op; a pending full rebuild supersedes it."""
-        if not self._full_dirty:
-            self._patch_ops.append(op)
-
     def invalidate(self) -> None:
         """Full invalidation: the network may have changed arbitrarily.
 
         Cheap — only bumps the epoch and marks everything dirty; the
-        rebuild happens lazily on the next query.  In incremental mode
-        the rebuild re-masks every channel still marked failed.
+        rebuild happens lazily on the next query and re-masks every
+        resource still marked failed.
         """
         with self._lock:
-            self._invalidate_locked()
+            self._full_dirty = True
+            self._patch_ops.clear()
+            self._bump()
+
+    def _mark(self, action: str, resources: "list[Resource]") -> None:
+        """Remember *resources* as failed (``action="fail"``) or
+        recovered (``"recover"``) and queue their patch ops; one bump.
+
+        A pending full rebuild supersedes the ops, since it re-masks
+        every remembered failure anyway.
+        """
+        with self._lock:
+            if action == "fail":
+                self._failed = self._failed.union(resources)
+            else:
+                self._failed = self._failed.difference(resources)
+            if not self._full_dirty:
+                self._patch_ops.extend(
+                    (f"{action}_{kind}", *key) for kind, *key in resources
+                )
             self._bump()
 
     def mark_channels_reserved(self, channels: Iterable[Channel]) -> None:
         """Channels were removed from the network (one epoch bump).
 
-        Cached trees that avoid every removed channel survive the bump
-        (see module docstring for why that is safe).  In incremental
-        mode the channels are remembered as failed and queued as mask
-        patches; the next refresh masks their CSR slots in place and
-        repairs the warm runs instead of rebuilding ``G_all``.
+        The next refresh masks their CSR slots in place and repairs the
+        warm runs; paths that avoid every removed channel stay cached.
         """
-        channels = list(channels)
-        with self._lock:
-            if self._incremental:
-                self._failed = self._failed.union(channels)
-                for channel in channels:
-                    self._queue("fail_channel", *channel)
-            elif not self._full_dirty:
-                self._dirty.update(channels)
-            self._bump()
+        self._mark("fail", [("channel", *channel) for channel in channels])
 
     def mark_channels_released(self, channels: Iterable[Channel]) -> None:
         """Channels came back into the network (one epoch bump).
 
-        Freed channels can improve arbitrary routes — without
-        incremental mode this is a full invalidation.  In incremental
-        mode they are queued as unmask patches: the ``O(k²n + km)``
-        overlay rebuild is skipped, and only the warm entries are
-        dropped (distances may decrease, which a warm run cannot
-        repair).
+        The next refresh unmasks their CSR slots in place and drops the
+        warm entries: freed channels can shorten any route, which a warm
+        run cannot repair.
         """
-        channels = list(channels)
-        with self._lock:
-            if self._incremental:
-                self._failed = self._failed.difference(channels)
-                for channel in channels:
-                    self._queue("recover_channel", *channel)
-            else:
-                self._invalidate_locked()
-            self._bump()
+        self._mark("recover", [("channel", *channel) for channel in channels])
 
     def mark_path_reserved(self, path: Semilightpath) -> None:
-        """Mark every channel a just-reserved path occupies as degraded."""
+        """Mark every channel a just-reserved path occupies as removed."""
         self.mark_channels_reserved(path.channels())
 
     def mark_path_released(self, path: Semilightpath) -> None:
@@ -275,75 +240,42 @@ class EpochRouterCache:
     def mark_channel_degraded(
         self, tail: NodeId, head: NodeId, wavelength: int | None = None
     ) -> None:
-        """A channel was removed (or its cost raised) on one link.
+        """A channel was removed on one link.
 
-        With ``wavelength=None`` the whole link is marked; one channel is
-        treated exactly like a one-channel reservation.
+        With ``wavelength=None`` the whole directed link is marked
+        failed; one channel is treated exactly like a one-channel
+        reservation.
         """
         if wavelength is not None:
             self.mark_channels_reserved([(tail, head, wavelength)])
-            return
-        with self._lock:
-            if self._incremental:
-                self._queue("fail_link", tail, head)
-            elif not self._full_dirty:
-                self._dirty.add((tail, head, None))
-            self._bump()
+        else:
+            self._mark("fail", [("link", tail, head)])
 
     def mark_channel_recovered(
         self, tail: NodeId, head: NodeId, wavelength: int | None = None
     ) -> None:
         """A channel (or, with ``wavelength=None``, a link) came back.
 
-        Recoveries add resources, which can improve arbitrary routes —
-        without incremental mode this is a full invalidation (matching
-        the fault injector's historical behavior); in incremental mode
-        the overlay unmasks the affected slots in place.  One channel is
-        treated exactly like a one-channel release.
+        One channel is treated exactly like a one-channel release.
         """
         if wavelength is not None:
             self.mark_channels_released([(tail, head, wavelength)])
-            return
-        with self._lock:
-            if self._incremental:
-                self._queue("recover_link", tail, head)
-            else:
-                self._invalidate_locked()
-            self._bump()
+        else:
+            self._mark("recover", [("link", tail, head)])
 
     def mark_converter_failed(self, node: NodeId) -> None:
         """The converter bank at *node* failed (continuity only).
 
-        A converter failure only removes conversion edges, so in
-        incremental mode it is an ordinary fail-only patch; otherwise it
-        is a full invalidation (converter state is not channel-keyed).
+        Only conversion edges are removed, so this is an ordinary
+        fail-only patch.
         """
-        with self._lock:
-            if self._incremental:
-                self._queue("fail_converter", node)
-            else:
-                self._invalidate_locked()
-            self._bump()
+        self._mark("fail", [("converter", node)])
 
     def mark_converter_recovered(self, node: NodeId) -> None:
         """The converter bank at *node* recovered."""
-        with self._lock:
-            if self._incremental:
-                self._queue("recover_converter", node)
-            else:
-                self._invalidate_locked()
-            self._bump()
+        self._mark("recover", [("converter", node)])
 
-    # -- rebuild -------------------------------------------------------------
-
-    def _tree_uses_dirty(self, tree: dict[NodeId, Semilightpath]) -> bool:
-        for path in tree.values():
-            for hop in path.hops:
-                if (hop.tail, hop.head, hop.wavelength) in self._dirty:
-                    return True
-                if (hop.tail, hop.head, None) in self._dirty:
-                    return True
-        return False
+    # -- refresh -------------------------------------------------------------
 
     def _drop_trees_locked(self) -> None:
         self._count("trees_dropped", len(self._trees))
@@ -393,89 +325,39 @@ class EpochRouterCache:
         return True
 
     def _refresh_locked(self) -> None:
-        """Bring ``G_all`` (and the tree cache) up to the current epoch."""
+        """Bring ``G_all`` (and the warm entries) up to the current epoch."""
         if self._built_epoch == self._epoch and self._aux is not None:
             return
-        if self._incremental and not self._full_dirty:
-            if self._try_patch_locked():
-                # Patched in place: same aux build, new degraded view.
-                # The snapshot is stale now but nothing on the query path
-                # reads it — :meth:`network_view` refetches lazily, so the
-                # fault-to-answer path never pays the O(network) copy.
-                self._network = None
-                self._built_epoch = self._epoch
-                self._count("patches")
-                return
-            self._full_dirty = True  # half-patched overlay: rebuild all
-        if self._full_dirty:
-            self._drop_trees_locked()
-        elif self._dirty:
-            survivors = {
-                source: tree
-                for source, tree in self._trees.items()
-                if not self._tree_uses_dirty(tree)
-            }
-            self._count("trees_kept", len(survivors))
-            self._count("trees_dropped", len(self._trees) - len(survivors))
-            self._trees = survivors
+        if not self._full_dirty and self._try_patch_locked():
+            # Patched in place: same aux build, new degraded view.  The
+            # snapshot is stale now but nothing on the query path reads
+            # it — :meth:`network_view` refetches lazily, so the
+            # fault-to-answer path never pays the O(network) copy.
+            self._network = None
+            self._built_epoch = self._epoch
+            self._count("patches")
+            return
+        self._drop_trees_locked()
         network = self._factory()
-        self._inner = LiangShenRouter(network, heap=self._heap)
-        # The router caches G_all for its lifetime; one rebuild = one
-        # construction, shared by every tree run until the next epoch.
-        self._aux = self._inner.all_pairs_graph()
-        if self._incremental:
-            self._delta = DeltaOverlay(self._aux)
-            # Re-failing a channel the factory already left out is a
-            # no-op, so this is safe for degraded-view factories too.
-            for channel in self._failed:
-                self._delta.fail_channel(*channel)
+        # Looked up on the module at call time, so a wrapper installed
+        # on ``routing.build_all_pairs_graph`` (span tracing) sees every
+        # rebuild.
+        self._aux = routing.build_all_pairs_graph(network)
+        self._delta = DeltaOverlay(self._aux)
+        # Re-failing a resource the factory already left out is a no-op,
+        # so this is safe for degraded-view factories too.
+        for kind, *key in self._failed:
+            getattr(self._delta, f"fail_{kind}")(*key)
         self._network = None if self._failed else network
         self._patch_ops.clear()
-        self._dirty.clear()
         self._full_dirty = False
         self._built_epoch = self._epoch
         self._count("rebuilds")
 
-    def _tree_locked(self, source: NodeId) -> dict[NodeId, Semilightpath]:
-        """The full tree from *source* at the current epoch."""
-        self._refresh_locked()
-        if self._incremental:
-            entry = self._entry_locked(source)
-            entry.run.run()
-            aux = self._aux
-            paths = entry.paths
-            missing = [target for target in aux.sink_ids if target not in paths]
-            decode_warm_targets(aux, source, entry.run, missing, paths)
-            return {
-                target: paths[target] for target in aux.sink_ids if target in paths
-            }
-        tree = self._trees.get(source)
-        if tree is not None:
-            self._count("hits")
-            return tree
-        self._count("misses")
-        if self._inner is None:
-            # _refresh_locked always installs a router; a None here means
-            # the lock/refresh protocol was bypassed.  A real exception
-            # so the invariant holds under ``python -O``.
-            raise ValueError("epoch cache queried before refresh built a router")
-        # Looked up on the module at call time, so a wrapper installed
-        # on ``routing.run_tree`` (span tracing) sees every tree build.
-        tree, run = routing.run_tree(
-            self._aux,
-            source,
-            heap=self._inner.heap,
-            scratch=self._inner._pool.get(self._aux.graph.num_nodes),
-        )
-        self._trees[source] = tree
-        if self._metrics is not None:
-            self._metrics.observe_query(
-                _tree_stats(self._aux, run), prefix="cache.tree_build"
-            )
-        return tree
+    # -- warm runs -----------------------------------------------------------
 
     def _entry_locked(self, source: NodeId) -> _WarmEntry:
-        """*source*'s warm entry (incremental mode), created on a miss."""
+        """*source*'s warm entry, created on a miss."""
         entry = self._trees.get(source)
         if entry is None:
             self._count("misses")
@@ -488,17 +370,36 @@ class EpochRouterCache:
             self._count("tree_patches")
         return entry
 
+    def _resume_locked(self, run: WarmRun, target: int | None = None) -> None:
+        """Resume *run* (to *target*, else to exhaustion), recording the
+        nodes it settled and the edges it relaxed in the registry."""
+        settled, relaxations = run.pops, run.relaxations
+        run.run(target=target)
+        if self._metrics is not None:
+            self._metrics.counter("cache.search.settled").inc(run.pops - settled)
+            self._metrics.counter("cache.search.relaxations").inc(
+                run.relaxations - relaxations
+            )
+
+    def _tree_locked(self, source: NodeId) -> dict[NodeId, Semilightpath]:
+        """The full tree from *source* at the current epoch."""
+        self._refresh_locked()
+        entry = self._entry_locked(source)
+        self._resume_locked(entry.run)
+        aux = self._aux
+        paths = entry.paths
+        missing = [target for target in aux.sink_ids if target not in paths]
+        decode_warm_targets(aux, source, entry.run, missing, paths)
+        return {target: paths[target] for target in aux.sink_ids if target in paths}
+
     def _paths_locked(
         self, source: NodeId, targets: "Iterable[NodeId]"
     ) -> "list[Semilightpath | None]":
         """Paths from *source* to each of *targets*, ``None`` if unreachable.
 
-        In incremental mode the warm run resumes only until the
-        requested sinks settle, and only their paths are decoded.
+        The warm run resumes only until the requested sinks settle, and
+        only their paths are decoded.
         """
-        if not self._incremental:
-            tree = self._tree_locked(source)
-            return [tree.get(target) for target in targets]
         self._refresh_locked()
         entry = self._entry_locked(source)
         aux = self._aux
@@ -507,7 +408,7 @@ class EpochRouterCache:
         for target in targets:
             path = paths.get(target)
             if path is None and target != source and target in aux.sink_ids:
-                entry.run.run(target=aux.sink_ids[target])
+                self._resume_locked(entry.run, aux.sink_ids[target])
                 decode_warm_targets(aux, source, entry.run, (target,), paths)
                 path = paths.get(target)
             answers.append(path)
@@ -570,7 +471,7 @@ class EpochRouterCache:
         cache lock, never the shared ``G'``/``G_all`` — so it stays
         available while the epoch cache is mid-invalidation or churning
         through a fault storm.  The snapshot is the factory's network
-        minus every channel marked failed.  The fallback router (and its
+        minus every resource marked failed.  The fallback router (and its
         cached ``G_all``) is reused across calls at the same epoch
         instead of reconstructing ``G_{s,t}`` per query; a stale epoch
         rebuilds it from a new snapshot.  Answers are hop-for-hop what
@@ -583,8 +484,8 @@ class EpochRouterCache:
         failed = self._failed
         with self._fallback_lock:
             if self._fallback_router is None or self._fallback_epoch != epoch:
-                network = _without_channels(self._factory(), failed)
-                self._fallback_router = LiangShenRouter(network, heap=self._heap)
+                network = _without_failed(self._factory(), failed)
+                self._fallback_router = LiangShenRouter(network)
                 self._fallback_network = network
                 self._fallback_epoch = epoch
             router = self._fallback_router
@@ -615,14 +516,14 @@ class EpochRouterCache:
     def network_view(self) -> "WDMNetwork":
         """The network snapshot matching the current cache entries.
 
-        That is the factory's network minus every channel marked failed.
+        That is the factory's network minus every resource marked failed.
         Patched refreshes drop the snapshot instead of eagerly re-copying
         the provider's network; it is refetched here on demand.
         """
         with self._lock:
             self._refresh_locked()
             if self._network is None:
-                self._network = _without_channels(self._factory(), self._failed)
+                self._network = _without_failed(self._factory(), self._failed)
             return self._network
 
     def counters(self) -> dict[str, int]:
@@ -640,34 +541,33 @@ class EpochRouterCache:
             }
 
 
-def _without_channels(
-    network: "WDMNetwork", channels: frozenset[Channel]
+def _without_failed(
+    network: "WDMNetwork", failed: frozenset[Resource]
 ) -> "WDMNetwork":
-    """*network* with *channels* removed (itself when there are none)."""
-    if not channels:
+    """*network* minus the *failed* resources (itself when there are none).
+
+    Failed channels lose their wavelength entry, failed directed links
+    are left out, and failed converter banks fall back to wavelength
+    continuity — the view the fault injector's ``network_view`` builds.
+    """
+    if not failed:
         return network
     view = WDMNetwork(network.num_wavelengths, network.default_conversion)
     for node in network.nodes():
-        view.add_node(node, network.explicit_conversion(node))
+        if ("converter", node) in failed:
+            view.add_node(node, NoConversion())
+        else:
+            view.add_node(node, network.explicit_conversion(node))
     for link in network.links():
+        if ("link", link.tail, link.head) in failed:
+            continue
         view.add_link(
             link.tail,
             link.head,
             {
                 w: c
                 for w, c in link.costs.items()
-                if (link.tail, link.head, w) not in channels
+                if ("channel", link.tail, link.head, w) not in failed
             },
         )
     return view
-
-
-def _tree_stats(aux, run):
-    from repro.core.instrumentation import QueryStats
-
-    return QueryStats(
-        sizes=aux.sizes,
-        settled=run.settled,
-        relaxations=run.relaxations,
-        heap=dict(run.heap_stats),
-    )

@@ -1,8 +1,8 @@
 """The routing-service facade: cache + engine + metrics in one object.
 
 :class:`RoutingService` is the serving layer's front door.  It owns an
-:class:`~repro.service.cache.EpochRouterCache` (epoch-versioned ``G_all``
-and per-source trees), a :class:`~repro.service.engine.QueryEngine`
+:class:`~repro.service.cache.EpochRouterCache` (one patched ``G_all``
+and per-source warm runs), a :class:`~repro.service.engine.QueryEngine`
 (worker pool, bounded queue, deadlines, coalescing) and a
 :class:`~repro.service.metrics.MetricsRegistry` wired through both.
 
@@ -18,14 +18,15 @@ off a provisioner so admissions reuse cached trees::
     prov.attach_service(workers=4)
     conn = prov.establish(s, t)       # routed through the cache
 
-The provisioner's service runs the cache in incremental mode over the
-*pristine* network: ``G_all`` is built once, and after each admission
-or release the provisioner tells the service which channels changed
-hands.  A reservation masks those channels' ``G_all`` slots and repairs
-the cached warm runs (reserving only removes resources, so undamaged
-paths stay optimal); a release unmasks them and drops the warm runs
-(freed channels can improve any route).  Either is one patch and one
-epoch bump — neither rebuilds ``G_all``.
+The cache builds ``G_all`` once and patches it in place: after each
+admission or release the provisioner tells the service which channels
+changed hands, and fault notifications name the link, channel or
+converter that failed or came back.  A reservation or fault masks the
+affected ``G_all`` slots and repairs the cached warm runs (removing
+resources only raises costs, so undamaged paths stay optimal); a
+release or recovery unmasks them and drops the warm runs (freed
+resources can improve any route).  Either is one patch and one epoch
+bump — neither rebuilds ``G_all``.
 
 Degraded-mode serving
 ---------------------
@@ -111,10 +112,6 @@ class RoutingService:
     queue_limit:
         Pending-request bound; excess submissions raise
         :class:`~repro.exceptions.ServiceOverloadError`.
-    heap:
-        Shortest-path kernel for the underlying router (default
-        ``"flat"``, the CSR fast path; see
-        :class:`~repro.core.routing.LiangShenRouter`).
     coalesce:
         Batch pending same-source queries onto one tree (default on).
     metrics:
@@ -131,14 +128,6 @@ class RoutingService:
         the backend is down (default on).
     last_good_limit:
         Bound on the last-good answer store (LRU-evicted).
-    incremental:
-        Delta-epoch cache maintenance: fault, recovery, reservation and
-        release notifications patch the shared ``G_all`` overlay in
-        place instead of rebuilding it, and each query resumes its
-        source's warm run only as far as its target (see
-        :class:`~repro.service.cache.EpochRouterCache`).  Default off;
-        :meth:`~repro.wdm.provisioning.SemilightpathProvisioner.attach_service`
-        turns it on.
 
     Example
     -------
@@ -153,21 +142,17 @@ class RoutingService:
         network: "WDMNetwork | Callable[[], WDMNetwork]",
         workers: int = 4,
         queue_limit: int = 256,
-        heap: str = "flat",
         coalesce: bool = True,
         metrics: MetricsRegistry | None = None,
         retry: "RetryPolicy | None" = None,
         breaker: "CircuitBreaker | None" = None,
         allow_stale: bool = True,
         last_good_limit: int = 65536,
-        incremental: bool = False,
     ) -> None:
         if last_good_limit < 1:
             raise ValueError("last_good_limit must be positive")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.cache = EpochRouterCache(
-            network, heap=heap, metrics=self.metrics, incremental=incremental
-        )
+        self.cache = EpochRouterCache(network, metrics=self.metrics)
         self.engine = QueryEngine(
             self.cache,
             workers=workers,
@@ -356,7 +341,11 @@ class RoutingService:
     def notify_link_degraded(
         self, tail: NodeId, head: NodeId, wavelength: int | None = None
     ) -> None:
-        """A link (or one of its channels) lost capacity or got pricier."""
+        """A link (or one of its channels) failed.
+
+        The resource stays masked until :meth:`notify_link_recovered`;
+        a cost change is not a failure — call :meth:`invalidate`.
+        """
         self.cache.mark_channel_degraded(tail, head, wavelength)
 
     def notify_link_recovered(

@@ -205,7 +205,7 @@ def _liang_delta_churn(network: "WDMNetwork") -> RouteFn:
 
 
 def _cache_incremental(network: "WDMNetwork") -> RouteFn:
-    """Route through an incremental epoch cache after a net-zero churn.
+    """Route through the patched epoch cache after a net-zero churn.
 
     Exercises the whole patched-serving stack — queued delta ops, warm
     Dijkstra runs repaired in place, recovery batches — and ends on a
@@ -214,7 +214,7 @@ def _cache_incremental(network: "WDMNetwork") -> RouteFn:
     """
     from repro.service.cache import EpochRouterCache
 
-    cache = EpochRouterCache(lambda: network, heap="flat", incremental=True)
+    cache = EpochRouterCache(lambda: network)
     nodes = sorted(network.nodes(), key=repr)
     probe = _none_on_nopath(cache.route)
 

@@ -123,21 +123,20 @@ class SemilightpathProvisioner:
 
         Without arguments a service is built for this provisioner
         (``workers=0`` by default — admissions already run on the
-        caller's thread); pass ``workers=N``/``queue_limit``/``heap``
-        through *service_kwargs*, or hand in a pre-built *service* whose
-        network view is this provisioner's residual.
+        caller's thread); pass ``workers=N``/``queue_limit`` through
+        *service_kwargs*, or hand in a pre-built *service* whose network
+        view is this provisioner's residual.
 
-        With ``packing="none"`` the built service runs its cache in
-        incremental mode over the pristine :attr:`network`: ``G_all`` is
-        built once, occupancy lives in the cache as masked channels, and
-        every reservation and release afterwards is one in-place patch
-        (one epoch bump) — a reservation repairs the cached warm runs,
-        a release drops them.  Channels already occupied at attach time
-        are masked up front.  Served admissions are hop for hop the ones
-        the plain provisioner makes.  Passing ``incremental=False``, or
-        any other packing (whose bias re-prices every residual cost),
-        serves from :meth:`residual_network` instead, rebuilding
-        ``G_all`` after each change.
+        With ``packing="none"`` the built service's cache runs over the
+        pristine :attr:`network`: ``G_all`` is built once, occupancy
+        lives in the cache as masked channels, and every reservation and
+        release afterwards is one in-place patch (one epoch bump) — a
+        reservation repairs the cached warm runs, a release drops them.
+        Channels already occupied at attach time are masked up front.
+        Served admissions are hop for hop the ones the plain provisioner
+        makes.  Any other packing re-prices every residual cost after
+        each change, so its service serves from :meth:`residual_network`
+        and is invalidated (one full ``G_all`` rebuild) per change.
         """
         if service is None:
             # Imported lazily: the service layer sits *above* wdm, and the
@@ -145,9 +144,7 @@ class SemilightpathProvisioner:
             from repro.service.service import RoutingService
 
             service_kwargs.setdefault("workers", 0)
-            patched = self.packing == "none" and service_kwargs.setdefault(
-                "incremental", True
-            )
+            patched = self.packing == "none"
             service = RoutingService(
                 self.network if patched else self.residual_network,
                 **service_kwargs,

@@ -66,8 +66,9 @@ class WavelengthState:
 
     def occupied_on(self, tail: NodeId, head: NodeId) -> frozenset[int]:
         """Wavelengths currently reserved on one link."""
+        link = self.network.link(tail, head)
         return frozenset(
-            w for (t, h, w) in self._occupied if t == tail and h == head
+            w for w in link.costs if (tail, head, w) in self._occupied
         )
 
     def occupied_channels(self) -> frozenset[Channel]:

@@ -1,4 +1,4 @@
-"""Epoch-versioned cache: hits, invalidation, degradation-kept trees."""
+"""Epoch-versioned cache: hits, invalidation, degradation-kept warm runs."""
 
 import math
 
@@ -94,21 +94,28 @@ class TestEpochs:
         cache = EpochRouterCache(paper_net)
         route_17 = cache.route(1, 7)
         hop = route_17.hops[0]
-        cache.route(2, 7)
-        # Degrade a channel the source-1 tree uses: only that tree drops.
+        route_27 = cache.route(2, 7)
+        # Degrade a channel only the source-1 path uses: both warm runs
+        # survive the patch, and only source 1's is repaired.
         cache.mark_channel_degraded(hop.tail, hop.head, hop.wavelength)
-        cache.route(2, 7)
+        assert cache.route(2, 7) == route_27
+        assert cache.route(1, 7).hops != route_17.hops
         counters = cache.counters()
-        assert counters["trees_kept"] >= 0
-        assert counters["trees_dropped"] >= 1
+        assert counters["trees_kept"] == 2
+        assert counters["trees_dropped"] == 0
+        assert counters["tree_patches"] == 1
 
     def test_whole_link_degradation(self, paper_net):
         cache = EpochRouterCache(paper_net)
         route_17 = cache.route(1, 7)
         hop = route_17.hops[0]
         cache.mark_channel_degraded(hop.tail, hop.head)  # all wavelengths
-        cache.route(1, 7)
-        assert cache.counters()["trees_dropped"] == 1
+        detour = cache.route(1, 7)
+        assert (hop.tail, hop.head) not in {(h.tail, h.head) for h in detour.hops}
+        counters = cache.counters()
+        assert counters["patches"] == 1
+        assert counters["rebuilds"] == 1
+        assert counters["trees_dropped"] == 0
 
 
 class TestPostMutationCorrectness:
@@ -183,4 +190,10 @@ class TestMetricsIntegration:
         assert snap["cache.rebuilds"] == 2
         assert snap["cache.trees_dropped"] == 1
         assert snap["cache.epoch"] == 1
-        assert snap["cache.tree_build.count"] == 2
+        assert snap["cache.search.settled"] > 0
+        assert snap["cache.search.relaxations"] > 0
+        # A path already decoded is served without resuming the search.
+        cache.route(1, 7)
+        again = registry.snapshot()
+        assert again["cache.search.settled"] == snap["cache.search.settled"]
+        assert again["cache.search.relaxations"] == snap["cache.search.relaxations"]

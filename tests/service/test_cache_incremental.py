@@ -1,4 +1,4 @@
-"""Incremental (delta-epoch) mode of the epoch router cache.
+"""Delta-epoch maintenance of the epoch router cache.
 
 Every test drives the cache exactly as the serving stack does — fault
 state lives in a :class:`FaultInjector` whose ``network_view`` is the
@@ -9,17 +9,19 @@ methods — then checks both the *accounting* (patched vs rebuilt) and the
 
 import pytest
 
+from repro.core.conversion import NoConversion
 from repro.core.routing import LiangShenRouter
 from repro.exceptions import NoPathError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent
 from repro.service.cache import EpochRouterCache
+from repro.service.service import RoutingService
 from repro.topology.reference import paper_figure1_network
 
 
 def incremental_cache(net):
     injector = FaultInjector(net)
-    cache = EpochRouterCache(injector.network_view, incremental=True)
+    cache = EpochRouterCache(injector.network_view)
     return injector, cache
 
 
@@ -142,16 +144,15 @@ class TestIncrementalInvalidation:
         assert cache.counters()["patches"] == 1
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_legacy_cache_through_churn(self, seed):
-        """Same notifications, same answers — incremental is invisible."""
+    def test_matches_fresh_router_through_churn(self, seed):
+        """Random channel fail/recover churn: after every event the
+        patched cache answers hop for hop like a fresh router built on
+        the injector's degraded view."""
         import random
 
         rng = random.Random(seed)
         net = paper_figure1_network()
-        inj_a = FaultInjector(net)
-        inj_b = FaultInjector(net)
-        inc = EpochRouterCache(inj_a.network_view, incremental=True)
-        legacy = EpochRouterCache(inj_b.network_view)
+        injector, cache = incremental_cache(net)
         channels = [
             (link.tail, link.head, w)
             for link in net.links()
@@ -163,33 +164,19 @@ class TestIncrementalInvalidation:
         for _ in range(12):
             if failed and rng.random() < 0.4:
                 tail, head, w = failed.pop(rng.randrange(len(failed)))
-                for injector, cache in ((inj_a, inc), (inj_b, legacy)):
-                    recover_channel(injector, cache, tail, head, w)
+                recover_channel(injector, cache, tail, head, w)
             else:
                 tail, head, w = rng.choice(channels)
                 failed.append((tail, head, w))
-                for injector, cache in ((inj_a, inc), (inj_b, legacy)):
-                    fail_channel(injector, cache, tail, head, w)
-            for source, target in rng.sample(pairs, 3):
-                try:
-                    a = inc.route(source, target)
-                except NoPathError:
-                    a = None
-                try:
-                    b = legacy.route(source, target)
-                except NoPathError:
-                    b = None
-                if b is None:
-                    assert a is None, (source, target)
-                else:
-                    assert a is not None and a.hops == b.hops, (source, target)
+                fail_channel(injector, cache, tail, head, w)
+            assert_matches_fresh(cache, injector, rng.sample(pairs, 3))
 
 
 class TestRememberedFailures:
-    """Over a pristine factory, failed channels live only in the cache."""
+    """Over a pristine factory, failed resources live only in the cache."""
 
     def test_invalidate_remasks_failed_channels(self, paper_net):
-        cache = EpochRouterCache(paper_net, incremental=True)
+        cache = EpochRouterCache(paper_net)
         path = cache.route(1, 7)
         cache.mark_path_reserved(path)
         cache.invalidate()
@@ -202,19 +189,18 @@ class TestRememberedFailures:
         assert cache.counters()["rebuilds"] == 2  # the release was a patch
 
     def test_release_is_one_epoch_bump(self, paper_net):
-        for incremental in (True, False):
-            cache = EpochRouterCache(paper_net, incremental=incremental)
-            path = cache.route(1, 7)
-            cache.mark_path_reserved(path)
-            cache.mark_path_released(path)
-            assert cache.epoch == 2
-            assert cache.route(1, 7) == path
+        cache = EpochRouterCache(paper_net)
+        path = cache.route(1, 7)
+        cache.mark_path_reserved(path)
+        cache.mark_path_released(path)
+        assert cache.epoch == 2
+        assert cache.route(1, 7) == path
 
     def test_partial_queries_then_tree_match_fresh(self, paper_net):
         """Targeted resumes, a repair of the partial runs, more targeted
         resumes, then full trees: all equal a fresh router's answers."""
         injector = FaultInjector(paper_net)
-        cache = EpochRouterCache(paper_net, incremental=True)
+        cache = EpochRouterCache(paper_net)
         reserved = cache.route(1, 7)
         cache.route(1, 2)
         cache.route(4, 6)
@@ -231,3 +217,35 @@ class TestRememberedFailures:
         for source in nodes:
             assert cache.tree(source) == fresh.tree(source)
         assert cache.tree_with_epoch(1)[1] == cache.built_epoch == 1
+
+    def test_failed_link_and_converter_survive_rebuilds(self, paper_net):
+        """A failed link and a failed converter stay out of the served
+        routes, the fallback snapshot and ``network_view`` — before and
+        after a full rebuild — until they are recovered."""
+        service = RoutingService(paper_net, workers=0)
+        hop = service.route(1, 7).hops[0]
+        injector = FaultInjector(paper_net)
+        for event in (
+            FaultEvent(0.5, "link_fail", tail=hop.tail, head=hop.head),
+            FaultEvent(0.5, "converter_fail", node=3),
+        ):
+            injector.apply(event)
+        service.notify_link_degraded(hop.tail, hop.head)
+        service.notify_converter_degraded(3)
+        expected = injector.network_view()
+        pairs = [(s, t) for s in paper_net.nodes() for t in paper_net.nodes() if s != t]
+        for rebuild in (False, True):
+            if rebuild:
+                service.invalidate()
+            assert_matches_fresh(service.cache, injector, pairs)
+            view = service.cache.network_view()
+            assert not view.has_link(hop.tail, hop.head)
+            assert isinstance(view.conversion(3), NoConversion)
+            fallback, snapshot = service.cache.route_rebuild(1, 7)
+            assert fallback.hops == LiangShenRouter(expected).route(1, 7).path.hops
+            assert not snapshot.has_link(hop.tail, hop.head)
+            assert isinstance(snapshot.conversion(3), NoConversion)
+        service.notify_link_recovered(hop.tail, hop.head)
+        service.notify_converter_recovered(3)
+        assert_matches_fresh(service.cache, FaultInjector(paper_net), pairs)
+        assert service.cache.route_rebuild(1, 7)[1] is paper_net

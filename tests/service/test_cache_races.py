@@ -16,8 +16,6 @@ import sys
 import threading
 import time
 
-import pytest
-
 from repro.core.network import WDMNetwork
 from repro.exceptions import NoPathError
 from repro.service.cache import EpochRouterCache
@@ -132,8 +130,7 @@ class _YieldingLock:
 
 
 class TestServedEpochStamps:
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_answers_carry_the_epoch_they_were_built_at(self, paper_net, incremental):
+    def test_answers_carry_the_epoch_they_were_built_at(self, paper_net):
         """Every answer is stamped with the ``built_epoch`` of the state
         it was computed on — for ``route_tree`` too, never an epoch read
         after the cache lock was released — while a writer flips a
@@ -160,7 +157,7 @@ class TestServedEpochStamps:
                 )
             return view
 
-        service = RoutingService(factory, workers=3, incremental=incremental)
+        service = RoutingService(factory, workers=3)
         lock = service.cache._lock = _YieldingLock()
         flips = 300
         stamped: list[tuple] = []

@@ -291,12 +291,3 @@ class TestPatchedProvisioning:
         assert service.cache.network_view().link(1, 2).costs == (
             provisioner.residual_network().link(1, 2).costs
         )
-
-    def test_explicit_non_incremental_serves_the_residual(self, paper_net):
-        provisioner = SemilightpathProvisioner(paper_net)
-        service = provisioner.attach_service(incremental=False)
-        provisioner.establish(1, 7)
-        residual = provisioner.residual_network()
-        assert service.route(1, 7).total_cost == pytest.approx(
-            LiangShenRouter(residual).route(1, 7).cost
-        )
